@@ -9,7 +9,7 @@
 use crate::scratch::AccessScratch;
 use rand::Rng;
 use rap_core::mapping::MatrixMapping;
-use rap_core::{CompactCongestion, RowShift};
+use rap_core::{CompactCongestion, RowShift, WideCompactCongestion};
 use serde::{Deserialize, Serialize};
 
 /// Logical matrix coordinate `(row i, column j)`.
@@ -209,15 +209,60 @@ pub fn warp_congestion_with(
     result
 }
 
+/// The bit-parallel congestion kernels of the fused path:
+/// [`CompactCongestion`] for `w ≤ 64` (one mask word per bank) and
+/// [`WideCompactCongestion`] for `w ≤ 256` (four).
+trait LaneKernel {
+    fn new(width: usize) -> Self;
+    fn lane(&mut self, tag: u32, bank: u32);
+    /// Borrows: taking the kernel by value through this trait copied its
+    /// masks once per warp.
+    fn finish(&self) -> u32;
+}
+
+impl LaneKernel for CompactCongestion {
+    #[inline]
+    fn new(width: usize) -> Self {
+        CompactCongestion::new(width)
+    }
+    #[inline]
+    fn lane(&mut self, tag: u32, bank: u32) {
+        CompactCongestion::lane(self, tag, bank);
+    }
+    #[inline]
+    fn finish(&self) -> u32 {
+        CompactCongestion::finish(self)
+    }
+}
+
+impl LaneKernel for WideCompactCongestion {
+    #[inline]
+    fn new(width: usize) -> Self {
+        WideCompactCongestion::new(width)
+    }
+    #[inline]
+    fn lane(&mut self, tag: u32, bank: u32) {
+        WideCompactCongestion::lane(self, tag, bank);
+    }
+    #[inline]
+    fn finish(&self) -> u32 {
+        WideCompactCongestion::finish(self)
+    }
+}
+
+/// Widest `w` the narrow kernel serves; wider composed tables go to
+/// the wide kernel.
+const NARROW_WIDTH: usize = 64;
+
 /// Congestion of one warp of `pattern`, fused end to end: coordinates are
 /// generated inline, the permute-shift mapping is a single byte read from
 /// the table composed into `scratch` (see [`AccessScratch::compose`]),
-/// and dedup + counting collapse into the bit-parallel
-/// [`CompactCongestion`] kernel — lane `(i, j)` lands in bank
-/// `rot_i(j)` at address `i·w + rot_i(j)`, so within one bank the row
-/// index `i` identifies the address and one `OR` per lane suffices. No
-/// coordinate or address buffer is materialized and no per-lane division
-/// runs.
+/// and dedup + counting collapse into a bit-parallel kernel —
+/// [`CompactCongestion`] for `w ≤ 64`, [`WideCompactCongestion`] up to
+/// `w = 256`. Lane `(i, j)` lands in bank `rot_i(j)` at address
+/// `i·w + rot_i(j)`, so within one bank the row index `i` identifies
+/// the address and one `OR` per lane suffices. No coordinate or address
+/// buffer is materialized and no per-lane division runs.
 ///
 /// Consumes the random stream **exactly** like
 /// [`generate_warp_into`] for `warp = 0..w` in order (only
@@ -239,6 +284,37 @@ pub fn warp_congestion_fused<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut AccessScratch,
 ) -> u32 {
+    if w <= NARROW_WIDTH {
+        warp_fused::<CompactCongestion, R>(pattern, w, warp, rng, scratch)
+    } else {
+        warp_fused_wide(pattern, w, warp, rng, scratch)
+    }
+}
+
+/// The `w > 64` arm of [`warp_congestion_fused`], kept out of line for
+/// the reason given at [`trial_fused_wide`].
+#[inline(never)]
+fn warp_fused_wide<R: Rng + ?Sized>(
+    pattern: MatrixPattern,
+    w: usize,
+    warp: u32,
+    rng: &mut R,
+    scratch: &mut AccessScratch,
+) -> u32 {
+    warp_fused::<WideCompactCongestion, R>(pattern, w, warp, rng, scratch)
+}
+
+/// [`warp_congestion_fused`] with the kernel chosen by the caller.
+/// Always inlined: the per-trial loops rely on the pattern being a
+/// compile-time constant here.
+#[inline(always)]
+fn warp_fused<K: LaneKernel, R: Rng + ?Sized>(
+    pattern: MatrixPattern,
+    w: usize,
+    warp: u32,
+    rng: &mut R,
+    scratch: &mut AccessScratch,
+) -> u32 {
     assert!(w > 0, "matrix width must be positive");
     let wu = w as u32;
     assert!(warp < wu, "warp {warp} out of range for width {w}");
@@ -248,7 +324,7 @@ pub fn warp_congestion_fused<R: Rng + ?Sized>(
         wu,
         "scratch table composed for a different width"
     );
-    let mut cc = CompactCongestion::new(w);
+    let mut cc = K::new(w);
     match pattern {
         MatrixPattern::Contiguous => {
             let base = warp * wu;
@@ -289,11 +365,11 @@ pub fn warp_congestion_fused<R: Rng + ?Sized>(
 ///
 /// Semantically identical to calling [`warp_congestion_fused`] for
 /// `warp = 0..w` in order (same results, same RNG consumption — the
-/// fused-vs-unfused tests cover this entry point too), but the pattern
-/// dispatch happens once per trial instead of once per warp, so the
-/// compiler specializes the whole warp loop for each pattern. On the
-/// Monte-Carlo hot path that specialization is worth more than a third
-/// of the total runtime.
+/// fused-vs-unfused tests cover this entry point too), but the kernel
+/// choice and the pattern dispatch happen once per trial instead of once
+/// per warp, so the compiler specializes the whole warp loop for each
+/// (kernel, pattern) pair. On the Monte-Carlo hot path that
+/// specialization is worth more than a third of the total runtime.
 ///
 /// # Panics
 /// Panics if `w == 0` or the table in `scratch` was not composed for a
@@ -303,16 +379,45 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
     w: usize,
     rng: &mut R,
     scratch: &mut AccessScratch,
+    sink: impl FnMut(u32),
+) {
+    if w <= NARROW_WIDTH {
+        trial_fused::<CompactCongestion, R>(pattern, w, rng, scratch, sink);
+    } else {
+        trial_fused_wide(pattern, w, rng, scratch, sink);
+    }
+}
+
+/// The `w > 64` arm of [`trial_congestions_fused`], kept out of line:
+/// inlined next to the narrow loops, the wide kernel's stack frame made
+/// the `w = 32` Monte-Carlo loop measurably slower.
+#[inline(never)]
+fn trial_fused_wide<R: Rng + ?Sized>(
+    pattern: MatrixPattern,
+    w: usize,
+    rng: &mut R,
+    scratch: &mut AccessScratch,
+    sink: impl FnMut(u32),
+) {
+    trial_fused::<WideCompactCongestion, R>(pattern, w, rng, scratch, sink);
+}
+
+/// [`trial_congestions_fused`] with the kernel chosen by the caller.
+fn trial_fused<K: LaneKernel, R: Rng + ?Sized>(
+    pattern: MatrixPattern,
+    w: usize,
+    rng: &mut R,
+    scratch: &mut AccessScratch,
     mut sink: impl FnMut(u32),
 ) {
     assert!(w > 0, "matrix width must be positive");
     let wu = w as u32;
-    // One arm per pattern so each loop inlines `warp_congestion_fused`
-    // with the pattern a compile-time constant.
+    // One arm per pattern so each loop inlines `warp_fused` with the
+    // pattern a compile-time constant.
     match pattern {
         MatrixPattern::Contiguous => {
             for warp in 0..wu {
-                sink(warp_congestion_fused(
+                sink(warp_fused::<K, R>(
                     MatrixPattern::Contiguous,
                     w,
                     warp,
@@ -323,7 +428,7 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
         }
         MatrixPattern::Stride => {
             for warp in 0..wu {
-                sink(warp_congestion_fused(
+                sink(warp_fused::<K, R>(
                     MatrixPattern::Stride,
                     w,
                     warp,
@@ -334,7 +439,7 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
         }
         MatrixPattern::Diagonal => {
             for warp in 0..wu {
-                sink(warp_congestion_fused(
+                sink(warp_fused::<K, R>(
                     MatrixPattern::Diagonal,
                     w,
                     warp,
@@ -345,7 +450,7 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
         }
         MatrixPattern::Random => {
             for warp in 0..wu {
-                sink(warp_congestion_fused(
+                sink(warp_fused::<K, R>(
                     MatrixPattern::Random,
                     w,
                     warp,
@@ -356,7 +461,7 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
         }
         MatrixPattern::Broadcast => {
             for warp in 0..wu {
-                sink(warp_congestion_fused(
+                sink(warp_fused::<K, R>(
                     MatrixPattern::Broadcast,
                     w,
                     warp,
@@ -513,13 +618,16 @@ mod tests {
 
     /// The fused evaluator must be bit-identical to the unfused
     /// generate + map + count pipeline for every pattern, scheme, and
-    /// SWAR-range width — and must consume the random stream exactly the
-    /// same way (checked by comparing warp-by-warp with twin RNGs).
+    /// width of both bit-parallel kernels — and must consume the random
+    /// stream exactly the same way (checked by comparing warp-by-warp
+    /// with twin RNGs).
     #[test]
     fn fused_path_matches_unfused_pipeline() {
         let mut scratch = AccessScratch::new();
         for scheme in Scheme::all() {
-            for w in [1usize, 2, 5, 16, 31, 32, 33, 63, 64] {
+            for w in [
+                1usize, 2, 5, 16, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, 255, 256,
+            ] {
                 let mut map_rng = SmallRng::seed_from_u64(1000 + w as u64);
                 let mapping = RowShift::of_scheme(scheme, &mut map_rng, w);
                 assert!(scratch.compose(&mapping), "w={w} must compose");

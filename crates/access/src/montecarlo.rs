@@ -77,9 +77,9 @@ pub(crate) struct Array4dScratch {
 }
 
 /// Evaluate one block of matrix-congestion trials serially into a fresh
-/// accumulator. `child` must be the `domain.child("matrix")` stream; both
-/// the plain and the resilient engines call exactly this body, which is
-/// why a resumed run can be bit-identical to an uninterrupted one.
+/// accumulator. `child` must be the `domain.child("matrix")` stream; the
+/// plain, cancellable and resilient engines all run exactly this body,
+/// which is why a resumed run can be bit-identical to an uninterrupted one.
 pub(crate) fn matrix_block(
     scheme: Scheme,
     pattern: MatrixPattern,
@@ -93,16 +93,21 @@ pub(crate) fn matrix_block(
         w,
         child,
         block,
+        None,
         &mut MatrixScratch::default(),
     )
+    .expect("a block without a token is never cancelled")
 }
 
 /// [`matrix_block`] with caller-owned scratch, so a worker thread reuses
-/// one set of buffers across every block it executes.
+/// one set of buffers across every block it executes, and an optional
+/// `token` polled before every trial: a cancelled block returns `None`
+/// (the partial accumulator is discarded so the surviving blocks stay
+/// bit-comparable to the plain engine).
 ///
 /// Per trial this composes the fresh mapping into the scratch lookup
 /// table and evaluates every warp through the fused single-table-read
-/// path; widths beyond the table's 64-bank range fall back to the
+/// path; widths beyond the table's 256-bank range fall back to the
 /// unfused generate + map + count pipeline. Both paths consume the
 /// trial's random stream identically and count congestion identically
 /// (pinned by the fused-vs-unfused tests and the conformance oracle), so
@@ -113,10 +118,14 @@ pub(crate) fn matrix_block_in(
     w: usize,
     child: &SeedDomain,
     block: std::ops::Range<u64>,
+    token: Option<&CancelToken>,
     s: &mut MatrixScratch,
-) -> OnlineStats {
+) -> Option<OnlineStats> {
     let mut stats = OnlineStats::new();
     for trial in block {
+        if token.is_some_and(CancelToken::is_cancelled) {
+            return None;
+        }
         let mut rng = child.rng(trial);
         let mapping = RowShift::of_scheme(scheme, &mut rng, w);
         if s.access.compose(&mapping) {
@@ -134,7 +143,7 @@ pub(crate) fn matrix_block_in(
             }
         }
     }
-    stats
+    Some(stats)
 }
 
 /// Evaluate one block of 4-D array congestion trials serially (see
@@ -236,7 +245,8 @@ pub fn matrix_congestion(
     assert!(trials > 0, "need at least one trial");
     let child = domain.child("matrix");
     parallel_trials(trials, MatrixScratch::default, |s, block| {
-        matrix_block_in(scheme, pattern, w, &child, block, s)
+        matrix_block_in(scheme, pattern, w, &child, block, None, s)
+            .expect("a block without a token is never cancelled")
     })
 }
 
@@ -307,43 +317,6 @@ pub fn array4d_congestion(
     })
 }
 
-/// Like [`matrix_block`], but polling `token` before every trial; returns
-/// `None` when cancelled mid-block (the partial accumulator is discarded
-/// so the surviving blocks stay bit-comparable to the plain engine).
-fn matrix_block_cancellable(
-    scheme: Scheme,
-    pattern: MatrixPattern,
-    w: usize,
-    child: &SeedDomain,
-    block: std::ops::Range<u64>,
-    token: &CancelToken,
-    s: &mut MatrixScratch,
-) -> Option<OnlineStats> {
-    let mut stats = OnlineStats::new();
-    for trial in block {
-        if token.is_cancelled() {
-            return None;
-        }
-        let mut rng = child.rng(trial);
-        let mapping = RowShift::of_scheme(scheme, &mut rng, w);
-        if s.access.compose(&mapping) {
-            matrix::trial_congestions_fused(pattern, w, &mut rng, &mut s.access, |c| {
-                stats.push_u32(c);
-            });
-        } else {
-            for warp in 0..w as u32 {
-                matrix::generate_warp_into(pattern, w, warp, &mut rng, &mut s.warp_buf);
-                stats.push_u32(matrix::warp_congestion_with(
-                    &mapping,
-                    &s.warp_buf,
-                    &mut s.access,
-                ));
-            }
-        }
-    }
-    Some(stats)
-}
-
 /// Cancellable [`matrix_congestion`]: the same sample streams and block
 /// structure, polling `token` between trials inside every block loop.
 ///
@@ -374,10 +347,7 @@ pub fn matrix_congestion_cancellable(
     let per_block: Vec<Option<OnlineStats>> = blocks
         .into_par_iter()
         .map_init(MatrixScratch::default, |s, block| {
-            if token.is_cancelled() {
-                return None;
-            }
-            matrix_block_cancellable(scheme, pattern, w, &child, block, token, s)
+            matrix_block_in(scheme, pattern, w, &child, block, Some(token), s)
         })
         .collect();
     let mut stats = OnlineStats::new();
@@ -640,6 +610,9 @@ mod tests {
             (Scheme::Ras, MatrixPattern::Random, 16, 100),
             (Scheme::Rap, MatrixPattern::Diagonal, 32, 70),
             (Scheme::Raw, MatrixPattern::Stride, 8, 33),
+            // Wide fused kernel, and the unfused fallback above 256.
+            (Scheme::Rap, MatrixPattern::Random, 200, 3),
+            (Scheme::Ras, MatrixPattern::Random, 300, 3),
         ];
         for (scheme, pattern, w, trials) in cases {
             let par = matrix_congestion(scheme, pattern, w, trials, &d);
@@ -676,6 +649,8 @@ mod tests {
         for (scheme, pattern, w, trials) in [
             (Scheme::Ras, MatrixPattern::Random, 16, 100u64),
             (Scheme::Rap, MatrixPattern::Diagonal, 8, 33),
+            (Scheme::Rap, MatrixPattern::Random, 200, 3),
+            (Scheme::Ras, MatrixPattern::Stride, 300, 3),
         ] {
             let plain = matrix_congestion(scheme, pattern, w, trials, &d);
             let run = matrix_congestion_cancellable(scheme, pattern, w, trials, &d, &token);

@@ -17,11 +17,11 @@ use rap_core::RowShift;
 pub struct AccessScratch {
     /// Physical address buffer (one entry per thread of the current warp).
     pub(crate) addrs: Vec<u64>,
-    /// Congestion kernel heap buffers (used only on the `width > 128`
-    /// fallback; the fast paths live on the stack).
+    /// Congestion kernel heap buffers (used only by the unfused path at
+    /// `width > 128`; the other congestion kernels live on the stack).
     pub(crate) congestion: CongestionScratch,
     /// The composed σ+shift lookup table of the current trial's mapping
-    /// (`w ≤ 64`); the allocation persists across trials.
+    /// (`w ≤ 256`); the allocation persists across trials.
     pub(crate) composed: ComposedRowShift,
 }
 
@@ -35,7 +35,8 @@ impl AccessScratch {
     /// Compose `mapping`'s permutation + row shifts into the cached
     /// lookup table, making [`crate::matrix::warp_congestion_fused`]
     /// serve this mapping. Returns `false` (table unusable, callers take
-    /// the unfused path) when `mapping.width() > 64`.
+    /// the unfused path) when `mapping.width()` exceeds
+    /// [`ComposedRowShift::MAX_WIDTH`] (256).
     pub fn compose(&mut self, mapping: &RowShift) -> bool {
         self.composed.compose(mapping)
     }

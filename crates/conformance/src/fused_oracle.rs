@@ -1,14 +1,17 @@
 //! Oracle for the fused permute-shift congestion kernel
 //! (`congestion:fused-vs-unfused`): the bit-parallel fast path —
 //! coordinates generated inline, the mapping a single table read, dedup
-//! and counting collapsed into `CompactCongestion` — against the fully
-//! unfused pipeline: `generate_warp_into`, per-lane
-//! [`MatrixMapping::address`] arithmetic, and the sort-free
-//! [`BankLoads::analyze`] reference count.
+//! and counting collapsed into `CompactCongestion` (`w ≤ 64`) or
+//! `WideCompactCongestion` (`w ≤ 256`) — against the fully unfused
+//! pipeline: `generate_warp_into`, per-lane [`MatrixMapping::address`]
+//! arithmetic, and the sort-based [`BankLoads::analyze`] reference
+//! count.
 //!
 //! Each seed decodes one `(width, scheme, pattern)` instance with
-//! `width ≤ 64` (the fused path's domain, including the SWAR word
-//! boundaries 63 and 64), composes the lookup table once, and then walks
+//! `width ≤ 256` (the fused path's domain, including the narrow kernel's
+//! word boundaries 63/64, the 64/65 handoff to the wide kernel, its tag
+//! word boundary 127/128 and its top 255/256), composes the lookup table
+//! once, and then walks
 //! **every** warp of one trial through both paths with identically seeded
 //! random streams. Any per-warp disagreement — value or random-stream
 //! drift — is a divergence.
@@ -21,9 +24,12 @@ use rap_access::matrix::{self, MatrixPattern};
 use rap_access::AccessScratch;
 use rap_core::{BankLoads, MatrixMapping, RowShift, Scheme};
 
-/// Widths the fused kernel serves (its `w ≤ 64` precondition), with the
-/// 64-bit mask boundaries 63/64 explicitly present.
-const FUSED_WIDTHS: &[usize] = &[1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64];
+/// Widths the fused kernel serves (its `w ≤ 256` precondition), with the
+/// 64-bit mask boundaries, the narrow/wide handoff and the top of the
+/// wide kernel explicitly present.
+const FUSED_WIDTHS: &[usize] = &[
+    1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, 255, 256,
+];
 
 /// The five matrix pattern families of the paper's Table II plus
 /// broadcast.

@@ -433,10 +433,89 @@ impl CompactCongestion {
     /// The congestion of the lanes seen so far (0 if none).
     #[inline]
     #[must_use]
-    pub fn finish(self) -> u32 {
+    pub fn finish(&self) -> u32 {
         self.masks[..self.width as usize]
             .iter()
             .map(|m| m.count_ones())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Tag words per bank of [`WideCompactCongestion`].
+const WIDE_WORDS: usize = 4;
+
+/// [`CompactCongestion`] for machines of up to 256 banks: four `u64` tag
+/// words per bank (256 tags), so recording a lane is still one `OR`
+/// (`masks[tag >> 6][bank] |= 1 << (tag & 63)`) and congestion is the
+/// maximum over the first `width` banks of the sum of the four popcounts.
+///
+/// The `(tag, bank)` contract is the same: two lanes refer to the same
+/// address **iff** they share the pair. The permute-shift matrix mapping
+/// meets it with `tag = i` for every `w ≤ 256`.
+///
+/// The masks (8 KB of stack) are stored word-major (`[word][bank]`), so
+/// the final reduction runs across banks and vectorizes. Build one per
+/// warp with [`WideCompactCongestion::new`]. It is a separate type rather
+/// than a wider [`CompactCongestion`] so the `w ≤ 64` hot loop keeps its
+/// single-word masks.
+#[derive(Debug, Clone)]
+pub struct WideCompactCongestion {
+    masks: [[u64; Self::MAX_WIDTH]; WIDE_WORDS],
+    width: u32,
+}
+
+impl WideCompactCongestion {
+    /// Widest machine (and largest tag range) the kernel serves.
+    pub const MAX_WIDTH: usize = 64 * WIDE_WORDS;
+
+    /// Start a warp accumulation for a `width`-bank machine.
+    ///
+    /// # Panics
+    /// Panics if `width == 0` or `width > 256`.
+    #[must_use]
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "machine width must be positive");
+        assert!(
+            width <= Self::MAX_WIDTH,
+            "wide compact path requires width ≤ {}, got {width}",
+            Self::MAX_WIDTH
+        );
+        Self {
+            masks: [[0; Self::MAX_WIDTH]; WIDE_WORDS],
+            width: width as u32,
+        }
+    }
+
+    /// Count one lane: `bank` is the bank it lands in and `tag` (< 256)
+    /// discriminates addresses within that bank. Branch-free — one `OR`;
+    /// a duplicate `(tag, bank)` pair sets an already-set bit.
+    ///
+    /// Out-of-range inputs are a contract violation (debug-asserted);
+    /// in release builds they wrap into the valid range rather than
+    /// reading out of bounds.
+    #[inline]
+    pub fn lane(&mut self, tag: u32, bank: u32) {
+        debug_assert!((tag as usize) < Self::MAX_WIDTH, "tag {tag} out of range");
+        debug_assert!(bank < self.width, "bank {bank} out of range");
+        self.masks[(tag >> 6) as usize % WIDE_WORDS][bank as usize % Self::MAX_WIDTH] |=
+            1u64 << (tag & 63);
+    }
+
+    /// The congestion of the lanes seen so far (0 if none).
+    #[inline]
+    #[must_use]
+    pub fn finish(&self) -> u32 {
+        // `min` proves the bound to the optimizer: no bounds checks, so
+        // the loop vectorizes.
+        let w = (self.width as usize).min(Self::MAX_WIDTH);
+        (0..w)
+            .map(|bank| {
+                self.masks
+                    .iter()
+                    .map(|words| words[bank].count_ones())
+                    .sum::<u32>()
+            })
             .max()
             .unwrap_or(0)
     }
@@ -747,6 +826,70 @@ mod tests {
     #[should_panic(expected = "width ≤ 64")]
     fn compact_wide_width_rejected() {
         let _ = CompactCongestion::new(65);
+    }
+
+    /// Runs one warp of `(tag, bank)` lanes through the wide kernel.
+    fn wide_congestion(width: usize, lanes: &[(u32, u32)]) -> u32 {
+        let mut cc = WideCompactCongestion::new(width);
+        for &(tag, bank) in lanes {
+            cc.lane(tag, bank);
+        }
+        cc.finish()
+    }
+
+    /// The wide kernel against the sort-based reference, with random
+    /// `(tag, bank)` warps and with warps whose tags straddle every
+    /// tag-word boundary (63/64, 127/128, 191/192) and the last tag 255.
+    #[test]
+    fn wide_compact_path_matches_analyze() {
+        const EDGE_TAGS: [u32; 7] = [63, 64, 127, 128, 191, 192, 255];
+        for width in [1usize, 2, 63, 64, 65, 127, 128, 129, 192, 200, 255, 256] {
+            let w = width as u64;
+            for warp in 0..64u64 {
+                let lanes: Vec<(u32, u32)> = (0..width as u64)
+                    .map(|t| {
+                        let x = splitmix_like(warp * 131 + t * 7 + width as u64);
+                        let tag = if warp % 2 == 0 {
+                            // Edge tags, folded into range for narrow widths.
+                            EDGE_TAGS[(x % 7) as usize] % width as u32
+                        } else {
+                            ((x >> 32) % w) as u32
+                        };
+                        (tag, (x % w) as u32)
+                    })
+                    .collect();
+                let addrs: Vec<u64> = lanes
+                    .iter()
+                    .map(|&(tag, bank)| u64::from(tag) * w + u64::from(bank))
+                    .collect();
+                let reference = BankLoads::analyze(width, &addrs).congestion();
+                assert_eq!(
+                    wide_congestion(width, &lanes),
+                    reference,
+                    "width={width}, warp={warp}"
+                );
+            }
+        }
+        // Every edge tag in one bank, each twice: each lands in a distinct
+        // bit, and the bank's count sums across all four words.
+        let lanes: Vec<(u32, u32)> = EDGE_TAGS
+            .iter()
+            .flat_map(|&t| [(t, 255), (t, 255)])
+            .collect();
+        assert_eq!(wide_congestion(256, &lanes), EDGE_TAGS.len() as u32);
+        assert_eq!(wide_congestion(256, &[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width must be positive")]
+    fn wide_compact_zero_width_rejected() {
+        let _ = WideCompactCongestion::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width ≤ 256")]
+    fn wide_compact_oversize_width_rejected() {
+        let _ = WideCompactCongestion::new(257);
     }
 
     fn splitmix_like(x: u64) -> u64 {

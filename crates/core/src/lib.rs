@@ -63,7 +63,9 @@ pub mod packed;
 pub mod permutation;
 pub mod theory;
 
-pub use congestion::{bank_of, BankLoads, CompactCongestion, CongestionScratch};
+pub use congestion::{
+    bank_of, BankLoads, CompactCongestion, CongestionScratch, WideCompactCongestion,
+};
 pub use error::CoreError;
 pub use mapping::{ComposedRowShift, MatrixMapping, RowShift, Scheme};
 pub use modern::{build_mapping, Padded, XorSwizzle};

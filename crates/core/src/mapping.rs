@@ -261,7 +261,7 @@ impl MatrixMapping for RowShift {
 }
 
 /// A [`RowShift`] mapping with the permutation/shift composition
-/// precomputed into one dense `w²`-entry lookup table, for `w ≤ 64`.
+/// precomputed into one dense `w²`-entry lookup table, for `w ≤ 256`.
 ///
 /// `rot[i·w + j] = (j + shift[i]) mod w` is the rotated physical column of
 /// logical element `(i, j)`; since the row base `i·w` is a multiple of
@@ -283,10 +283,12 @@ pub struct ComposedRowShift {
 }
 
 impl ComposedRowShift {
-    /// Widest mapping the composed table serves — matched to the SWAR
-    /// congestion kernel's 64-bank capacity so a rotated column always
-    /// fits a byte and the compact-key dedup stays in range.
-    pub const MAX_WIDTH: usize = 64;
+    /// Widest mapping the composed table serves: a rotated column
+    /// (< 256) always fits a byte, and the row index stays within the
+    /// 256-tag range of the wide bit-parallel congestion kernel
+    /// ([`crate::WideCompactCongestion`]). The table is `w²` bytes,
+    /// 64 KB at the limit.
+    pub const MAX_WIDTH: usize = 256;
 
     /// An empty table; [`ComposedRowShift::compose`] fills it.
     #[must_use]
@@ -304,7 +306,7 @@ impl ComposedRowShift {
             self.width = 0;
             return false;
         }
-        // The identity row 0, 1, …, 63; every rotated row is two
+        // The identity row 0, 1, …, 255; every rotated row is two
         // contiguous slices of it, so composition is 2w small memcpys.
         const IOTA: [u8; ComposedRowShift::MAX_WIDTH] = {
             let mut a = [0u8; ComposedRowShift::MAX_WIDTH];
@@ -523,13 +525,16 @@ mod tests {
     }
 
     /// The composed table must reproduce `address`/`bank` exactly for
-    /// every scheme and width it serves, including the 63/64 boundary.
+    /// every scheme and width it serves, including the 63/64 boundary of
+    /// the narrow congestion kernel and the 255/256 top of the table.
     #[test]
     fn composed_table_matches_unfused_arithmetic() {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut composed = ComposedRowShift::new();
         for scheme in Scheme::all() {
-            for w in [1usize, 2, 7, 16, 32, 33, 63, 64] {
+            for w in [
+                1usize, 2, 7, 16, 32, 33, 63, 64, 65, 127, 128, 129, 200, 255, 256,
+            ] {
                 let m = RowShift::of_scheme(scheme, &mut rng, w);
                 assert!(composed.compose(&m), "{scheme} w={w} must compose");
                 assert!(composed.is_composed());
@@ -557,7 +562,7 @@ mod tests {
     fn composed_table_rejects_wide_mappings_and_recovers() {
         let mut rng = SmallRng::seed_from_u64(10);
         let mut composed = ComposedRowShift::new();
-        let wide = RowShift::rap(&mut rng, 65);
+        let wide = RowShift::rap(&mut rng, 257);
         assert!(!composed.compose(&wide));
         assert!(!composed.is_composed());
         // The same value composes a servable mapping afterwards (the

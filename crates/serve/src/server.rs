@@ -388,6 +388,25 @@ mod tests {
         assert!(report.metrics.conserves_responses());
     }
 
+    /// A request line nested 100,000 levels deep is parsed on the
+    /// connection thread; it must come back as a `bad_request`, not
+    /// overflow that thread's stack and abort the server.
+    #[test]
+    fn deeply_nested_line_is_a_bad_request_and_the_server_survives() {
+        let (handle, mut client) = small_server(ServerConfig::default());
+        let resp = client.roundtrip(&"[".repeat(100_000)).unwrap();
+        assert_eq!(resp.error_kind(), Some("bad_request"), "{resp:?}");
+        assert!(
+            resp.error.as_ref().unwrap().message.contains("nesting"),
+            "{resp:?}"
+        );
+        let health = client.roundtrip(r#"{"cmd":"health","id":2}"#).unwrap();
+        assert!(health.ok, "{health:?}");
+        let report = shutdown(handle);
+        assert_eq!(report.metrics.bad_requests, 1);
+        assert!(report.metrics.conserves_responses(), "{report:?}");
+    }
+
     #[test]
     fn health_and_stats_answer_inline() {
         let (handle, mut client) = small_server(ServerConfig::default());
