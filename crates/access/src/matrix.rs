@@ -9,7 +9,7 @@
 use crate::scratch::AccessScratch;
 use rand::Rng;
 use rap_core::mapping::MatrixMapping;
-use rap_core::{CompactCongestion, RowShift, WideCompactCongestion};
+use rap_core::{CompactCongestion, DistinctCongestion, RowShift, WideCompactCongestion};
 use serde::{Deserialize, Serialize};
 
 /// Logical matrix coordinate `(row i, column j)`.
@@ -209,9 +209,11 @@ pub fn warp_congestion_with(
     result
 }
 
-/// The bit-parallel congestion kernels of the fused path:
-/// [`CompactCongestion`] for `w ≤ 64` (one mask word per bank) and
-/// [`WideCompactCongestion`] for `w ≤ 256` (four).
+/// The congestion kernels of the fused path: [`CompactCongestion`] for
+/// `w ≤ 64` (one mask word per bank); above that, [`DistinctCongestion`]
+/// (per-bank counts, no dedup) for the patterns whose lanes are distinct
+/// addresses and [`WideCompactCongestion`] (four mask words per bank)
+/// for the rest.
 trait LaneKernel {
     fn new(width: usize) -> Self;
     fn lane(&mut self, tag: u32, bank: u32);
@@ -250,8 +252,33 @@ impl LaneKernel for WideCompactCongestion {
     }
 }
 
+impl LaneKernel for DistinctCongestion {
+    #[inline]
+    fn new(width: usize) -> Self {
+        DistinctCongestion::new(width)
+    }
+    #[inline]
+    fn lane(&mut self, tag: u32, bank: u32) {
+        DistinctCongestion::lane(self, tag, bank);
+    }
+    #[inline]
+    fn finish(&self) -> u32 {
+        DistinctCongestion::finish(self)
+    }
+}
+
+/// Whether every warp of `pattern` reads `w` pairwise-distinct logical
+/// elements — and so, under the bijective permute-shift mapping, `w`
+/// distinct addresses: the precondition of [`DistinctCongestion`].
+fn lanes_are_distinct(pattern: MatrixPattern) -> bool {
+    match pattern {
+        MatrixPattern::Contiguous | MatrixPattern::Stride | MatrixPattern::Diagonal => true,
+        MatrixPattern::Random | MatrixPattern::Broadcast => false,
+    }
+}
+
 /// Widest `w` the narrow kernel serves; wider composed tables go to
-/// the wide kernel.
+/// the wide kernels.
 const NARROW_WIDTH: usize = 64;
 
 /// Congestion of one warp of `pattern`, fused end to end: coordinates are
@@ -261,8 +288,11 @@ const NARROW_WIDTH: usize = 64;
 /// [`CompactCongestion`] for `w ≤ 64`, [`WideCompactCongestion`] up to
 /// `w = 256`. Lane `(i, j)` lands in bank `rot_i(j)` at address
 /// `i·w + rot_i(j)`, so within one bank the row index `i` identifies
-/// the address and one `OR` per lane suffices. No coordinate or address
-/// buffer is materialized and no per-lane division runs.
+/// the address and one `OR` per lane suffices. Above `w = 64`, the
+/// Contiguous, Stride and Diagonal patterns, whose lanes are distinct
+/// addresses, skip the dedup masks and count per bank
+/// ([`DistinctCongestion`]). No coordinate or address buffer is
+/// materialized and no per-lane division runs.
 ///
 /// Consumes the random stream **exactly** like
 /// [`generate_warp_into`] for `warp = 0..w` in order (only
@@ -292,7 +322,7 @@ pub fn warp_congestion_fused<R: Rng + ?Sized>(
 }
 
 /// The `w > 64` arm of [`warp_congestion_fused`], kept out of line for
-/// the reason given at [`trial_fused_wide`].
+/// the reason given at [`trial_fused_wide`], which it mirrors.
 #[inline(never)]
 fn warp_fused_wide<R: Rng + ?Sized>(
     pattern: MatrixPattern,
@@ -301,7 +331,11 @@ fn warp_fused_wide<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut AccessScratch,
 ) -> u32 {
-    warp_fused::<WideCompactCongestion, R>(pattern, w, warp, rng, scratch)
+    if lanes_are_distinct(pattern) {
+        warp_fused::<DistinctCongestion, R>(pattern, w, warp, rng, scratch)
+    } else {
+        warp_fused::<WideCompactCongestion, R>(pattern, w, warp, rng, scratch)
+    }
 }
 
 /// [`warp_congestion_fused`] with the kernel chosen by the caller.
@@ -391,6 +425,11 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
 /// The `w > 64` arm of [`trial_congestions_fused`], kept out of line:
 /// inlined next to the narrow loops, the wide kernel's stack frame made
 /// the `w = 32` Monte-Carlo loop measurably slower.
+///
+/// Patterns whose lanes are distinct addresses go to
+/// [`DistinctCongestion`]: one count per lane and a 512 B reset, instead
+/// of the 8 KB of dedup masks and `4·w` popcounts per warp that
+/// Random and Broadcast need.
 #[inline(never)]
 fn trial_fused_wide<R: Rng + ?Sized>(
     pattern: MatrixPattern,
@@ -399,7 +438,11 @@ fn trial_fused_wide<R: Rng + ?Sized>(
     scratch: &mut AccessScratch,
     sink: impl FnMut(u32),
 ) {
-    trial_fused::<WideCompactCongestion, R>(pattern, w, rng, scratch, sink);
+    if lanes_are_distinct(pattern) {
+        trial_fused::<DistinctCongestion, R>(pattern, w, rng, scratch, sink);
+    } else {
+        trial_fused::<WideCompactCongestion, R>(pattern, w, rng, scratch, sink);
+    }
 }
 
 /// [`trial_congestions_fused`] with the kernel chosen by the caller.

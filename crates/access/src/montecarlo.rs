@@ -69,11 +69,15 @@ pub(crate) struct MatrixScratch {
     warp_buf: Vec<Coord>,
 }
 
-/// Per-worker buffers of the 4-D engine (see [`MatrixScratch`]).
+/// Per-worker buffers of the 4-D engine (see [`MatrixScratch`]): the
+/// congestion kernel's buffers, the coordinate buffer, and the mapping
+/// itself, redrawn in place every trial so its `w³`-entry table (RAS,
+/// w²P) is allocated once per worker rather than once per trial.
 #[derive(Default)]
 pub(crate) struct Array4dScratch {
     access: AccessScratch,
     warp_buf: Vec<Coord4>,
+    mapping: Option<Mapping4d>,
 }
 
 /// Evaluate one block of matrix-congestion trials serially into a fresh
@@ -167,9 +171,14 @@ pub(crate) fn array4d_block(
     )
 }
 
-/// [`array4d_block`] with caller-owned scratch (see [`matrix_block_in`];
-/// the 4-D mapping has no composed table, but the congestion kernel's
-/// buffers and the coordinate buffer are still reused across blocks).
+/// [`array4d_block`] with caller-owned scratch (see [`matrix_block_in`]).
+///
+/// Per trial this redraws the scratch's mapping in place with
+/// [`Mapping4d::redraw`], which consumes the trial's random stream
+/// exactly like [`Mapping4d::new`], so the result is bit-identical to
+/// building a fresh mapping per trial. The trial then reads at most
+/// `warps_per_trial · w` table entries; the congestion kernel's buffers
+/// and the coordinate buffer are reused across blocks too.
 pub(crate) fn array4d_block_in(
     scheme: Scheme4d,
     pattern: Pattern4d,
@@ -182,11 +191,17 @@ pub(crate) fn array4d_block_in(
     let mut stats = OnlineStats::new();
     for trial in block {
         let mut rng = child.rng(trial);
-        let mapping = Mapping4d::new(scheme, &mut rng, w).expect("valid width");
+        let mapping = match &mut s.mapping {
+            Some(mapping) => {
+                mapping.redraw(scheme, &mut rng, w).expect("valid width");
+                mapping
+            }
+            slot @ None => slot.insert(Mapping4d::new(scheme, &mut rng, w).expect("valid width")),
+        };
         for _ in 0..warps_per_trial {
             array4d::generate_warp_into(pattern, scheme, w, &mut rng, &mut s.warp_buf);
             stats.push_u32(array4d::warp_congestion_with(
-                &mapping,
+                mapping,
                 &s.warp_buf,
                 &mut s.access,
             ));
@@ -634,12 +649,53 @@ mod tests {
             );
         }
 
-        let par = array4d_congestion(Scheme4d::Ras, Pattern4d::Random, 16, 100, 4, &d);
-        let ser = array4d_congestion_serial(Scheme4d::Ras, Pattern4d::Random, 16, 100, 4, &d);
-        assert_eq!(par.count(), ser.count());
-        assert_eq!(par.min(), ser.min());
-        assert_eq!(par.max(), ser.max());
-        assert!((par.mean() - ser.mean()).abs() <= 1e-12 * ser.mean().abs());
+        // Every scheme at a power-of-two width and at w = 12, where the
+        // bounded draws can reject: the engine redraws one mapping in
+        // place per worker, the reference builds a fresh one per trial.
+        // 35 trials span a full and a partial block.
+        for scheme in Scheme4d::all() {
+            for w in [32, 12] {
+                for pattern in Pattern4d::table4() {
+                    let par = array4d_congestion(scheme, pattern, w, 35, 4, &d);
+                    let ser = array4d_congestion_serial(scheme, pattern, w, 35, 4, &d);
+                    assert_eq!(par.count(), ser.count(), "{scheme} {pattern} w={w}");
+                    assert_eq!(par.min(), ser.min(), "{scheme} {pattern} w={w}");
+                    assert_eq!(par.max(), ser.max(), "{scheme} {pattern} w={w}");
+                    assert!(
+                        (par.mean() - ser.mean()).abs() <= 1e-12 * ser.mean().abs(),
+                        "{scheme} {pattern} w={w}: mean {} vs serial {}",
+                        par.mean(),
+                        ser.mean()
+                    );
+                }
+            }
+        }
+    }
+
+    /// One worker scratch carried across blocks of different schemes and
+    /// widths gives the same block statistics as a fresh scratch each time:
+    /// the in-place redraw leaves nothing behind from the previous shape.
+    #[test]
+    fn array4d_scratch_redraws_across_scheme_and_width_changes() {
+        let child = domain().child("array4d");
+        let mut scratch = Array4dScratch::default();
+        let shapes = [
+            (Scheme4d::WSquaredP, Pattern4d::Malicious, 32),
+            (Scheme4d::OneP, Pattern4d::Stride1, 12),
+            (Scheme4d::Ras, Pattern4d::Random, 17),
+            (Scheme4d::Raw, Pattern4d::Contiguous, 4),
+            (Scheme4d::OnePlusWSquaredR, Pattern4d::Malicious, 32),
+            (Scheme4d::ThreeP, Pattern4d::Stride3, 9),
+            (Scheme4d::R1P, Pattern4d::Malicious, 12),
+            (Scheme4d::Ras, Pattern4d::Stride1, 32),
+        ];
+        for (i, (scheme, pattern, w)) in shapes.into_iter().enumerate() {
+            let block = block_range(i as u64, 8 * TRIALS_PER_BLOCK);
+            let reused =
+                array4d_block_in(scheme, pattern, w, 3, &child, block.clone(), &mut scratch);
+            let fresh = array4d_block(scheme, pattern, w, 3, &child, block);
+            assert_eq!(reused.to_raw(), fresh.to_raw(), "{scheme} {pattern} w={w}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Oracle for the fused permute-shift congestion kernel
 //! (`congestion:fused-vs-unfused`): the bit-parallel fast path —
-//! coordinates generated inline, the mapping a single table read, dedup
-//! and counting collapsed into `CompactCongestion` (`w ≤ 64`) or
-//! `WideCompactCongestion` (`w ≤ 256`) — against the fully unfused
-//! pipeline: `generate_warp_into`, per-lane [`MatrixMapping::address`]
-//! arithmetic, and the sort-based [`BankLoads::analyze`] reference
-//! count.
+//! coordinates generated inline, the mapping a single table read, and
+//! counting done by one of three kernels: `CompactCongestion` (`w ≤ 64`,
+//! dedup masks), `DistinctCongestion` (`64 < w ≤ 256`, per-bank counts
+//! for the distinct-address Contiguous, Stride and Diagonal patterns) or
+//! `WideCompactCongestion` (`64 < w ≤ 256`, dedup masks for Random and
+//! Broadcast) — against the fully unfused pipeline:
+//! `generate_warp_into`, per-lane [`MatrixMapping::address`] arithmetic,
+//! and the sort-based [`BankLoads::analyze`] reference count.
 //!
 //! Each seed decodes one `(width, scheme, pattern)` instance with
 //! `width ≤ 256` (the fused path's domain, including the narrow kernel's

@@ -14,6 +14,7 @@ use crate::mapping_oracle::MappingAlgebraOracle;
 use crate::oracle::{Divergence, Oracle};
 use crate::pattern::case_seed;
 use crate::prover_oracle::ProverOracle;
+use crate::redraw_oracle::RedrawOracle;
 use crate::schedule_oracle::ScheduleOracle;
 use crate::synth_oracle::SynthCertificateOracle;
 use crate::transpose_oracle::TransposeOracle;
@@ -104,7 +105,7 @@ impl Harness {
         self
     }
 
-    /// The standard bounded suite wired into `cargo test`: all fourteen
+    /// The standard bounded suite wired into `cargo test`: all fifteen
     /// oracle pairs, budgeted to just over 10 000 cases in well under a
     /// minute.
     #[must_use]
@@ -144,6 +145,7 @@ impl Harness {
             1850 * m,
         );
         h.push(Box::new(FusedKernelOracle::default()), 700 * m);
+        h.push(Box::new(RedrawOracle), 400 * m);
         h.push(Box::new(DmmTimingOracle), 700 * m);
         h.push(Box::new(UmmRowsOracle), 700 * m);
         h.push(Box::new(MappingAlgebraOracle), 700 * m);

@@ -15,7 +15,9 @@
 //! * [`oracle`] — the [`Oracle`] trait and the [`Divergence`] record;
 //! * [`shrink`] — greedy minimization of failing cases;
 //! * concrete oracles in [`kernels`], [`fused_oracle`] (the bit-parallel
-//!   fused permute-shift kernel vs the unfused pipeline), [`machine`],
+//!   fused permute-shift kernel vs the unfused pipeline),
+//!   [`redraw_oracle`] (the in-place Table IV mapping redraw vs a fresh
+//!   build), [`machine`],
 //!   [`mapping_oracle`], [`transpose_oracle`], [`schedule_oracle`], and
 //!   [`prover_oracle`] (the static prover of `rap-analyze` vs the
 //!   simulated bank loads), [`synth_oracle`] (synthesis certificates
@@ -50,6 +52,7 @@ pub mod mutation;
 pub mod oracle;
 pub mod pattern;
 pub mod prover_oracle;
+pub mod redraw_oracle;
 pub mod reference;
 pub mod schedule_oracle;
 pub mod shrink;
@@ -69,8 +72,10 @@ pub use mutation::{NoDedupMutant, WrongModulusMutant};
 pub use oracle::{Divergence, MinimalCase, Oracle};
 pub use pattern::{case_seed, splitmix64, AccessCase, PatternKind, WIDTH_LADDER};
 pub use prover_oracle::ProverOracle;
+pub use redraw_oracle::RedrawOracle;
 pub use reference::{
-    naive_bank_loads, naive_congestion, naive_distinct_rows, naive_transpose, naive_unique_requests,
+    naive_bank_loads, naive_congestion, naive_distinct_rows, naive_transpose,
+    naive_unique_requests, NaiveShift4d,
 };
 pub use schedule_oracle::ScheduleOracle;
 pub use shrink::shrink_case;

@@ -5,6 +5,8 @@
 //! production path (hash maps instead of sorting or open addressing), so
 //! a shared bug cannot hide on both sides of a comparison.
 
+use rand::Rng;
+use rap_core::multidim::Scheme4d;
 use std::collections::{HashMap, HashSet};
 
 /// Congestion of one warp access: the maximum, over banks, of the number
@@ -68,6 +70,80 @@ pub fn naive_transpose(w: usize, data: &[u64]) -> Vec<u64> {
         }
     }
     out
+}
+
+/// A Table IV shift function built the way the paper states it: one
+/// permutation table per permutation and one shift list per family of
+/// random shifts, each drawn from `rng` in the order the schemes name
+/// them (RAS: `w³` row shifts; 1P, R1P: `σ`; 3P: `σ, τ, υ`; w²P: `w²`
+/// permutations; 1P+w²R: `σ`, then `w²` shifts). Shifts are
+/// `gen_range(0..w)` draws and permutations are Durstenfeld shuffles of
+/// the identity with `gen_range(0..=i)` swaps, written out here rather
+/// than shared with `rap-core`.
+#[derive(Debug, Clone)]
+pub struct NaiveShift4d {
+    scheme: Scheme4d,
+    w: usize,
+    perms: Vec<Vec<u32>>,
+    shifts: Vec<u32>,
+}
+
+impl NaiveShift4d {
+    /// Draw a fresh instance of `scheme` at width `w` (`w > 0`).
+    pub fn draw<R: Rng + ?Sized>(scheme: Scheme4d, rng: &mut R, w: usize) -> Self {
+        let perm = |rng: &mut R| {
+            let mut p: Vec<u32> = (0..w as u32).collect();
+            for i in (1..w).rev() {
+                let j = rng.gen_range(0..=i);
+                p.swap(i, j);
+            }
+            p
+        };
+        let shifts = |rng: &mut R, n: usize| -> Vec<u32> {
+            (0..n).map(|_| rng.gen_range(0..w as u32)).collect()
+        };
+        let (perms, shifts) = match scheme {
+            Scheme4d::Raw => (Vec::new(), Vec::new()),
+            Scheme4d::Ras => (Vec::new(), shifts(rng, w * w * w)),
+            Scheme4d::OneP | Scheme4d::R1P => (vec![perm(rng)], Vec::new()),
+            Scheme4d::ThreeP => {
+                let sigma = perm(rng);
+                let tau = perm(rng);
+                let upsilon = perm(rng);
+                (vec![sigma, tau, upsilon], Vec::new())
+            }
+            Scheme4d::WSquaredP => ((0..w * w).map(|_| perm(rng)).collect(), Vec::new()),
+            Scheme4d::OnePlusWSquaredR => {
+                let sigma = perm(rng);
+                (vec![sigma], shifts(rng, w * w))
+            }
+        };
+        Self {
+            scheme,
+            w,
+            perms,
+            shifts,
+        }
+    }
+
+    /// The shift function `f(d1, d2, d3)` of the drawn instance.
+    ///
+    /// # Panics
+    /// Panics if a coordinate is `≥ w`.
+    #[must_use]
+    pub fn shift(&self, d1: u32, d2: u32, d3: u32) -> u32 {
+        let (w, d1, d2, d3) = (self.w, d1 as usize, d2 as usize, d3 as usize);
+        let p = &self.perms;
+        match self.scheme {
+            Scheme4d::Raw => 0,
+            Scheme4d::Ras => self.shifts[(d3 * w + d2) * w + d1],
+            Scheme4d::OneP => p[0][d1],
+            Scheme4d::R1P => p[0][d1] + p[0][d2] + p[0][d3],
+            Scheme4d::ThreeP => p[0][d1] + p[1][d2] + p[2][d3],
+            Scheme4d::WSquaredP => p[d3 * w + d2][d1],
+            Scheme4d::OnePlusWSquaredR => p[0][d1] + self.shifts[d3 * w + d2],
+        }
+    }
 }
 
 #[cfg(test)]

@@ -64,7 +64,8 @@ pub mod permutation;
 pub mod theory;
 
 pub use congestion::{
-    bank_of, BankLoads, CompactCongestion, CongestionScratch, WideCompactCongestion,
+    bank_of, BankLoads, CompactCongestion, CongestionScratch, DistinctCongestion,
+    WideCompactCongestion,
 };
 pub use error::CoreError;
 pub use mapping::{ComposedRowShift, MatrixMapping, RowShift, Scheme};

@@ -33,7 +33,7 @@
 //! warps reach congestion `6·Θ(log(w/6)/log log(w/6))`.
 
 use crate::error::CoreError;
-use crate::permutation::Permutation;
+use crate::permutation::shuffle;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -106,34 +106,33 @@ impl std::fmt::Display for Scheme4d {
     }
 }
 
-/// Shift-table payload of a [`Mapping4d`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum ShiftData {
-    /// RAW: no randomness.
-    None,
-    /// RAS: one shift per row, indexed by `d3·w² + d2·w + d1`.
-    PerRow(Vec<u32>),
-    /// 1P / R1P: a single permutation.
-    OnePerm(Permutation),
-    /// 3P: three independent permutations applied to `d1`, `d2`, `d3`.
-    ThreePerm(Box<(Permutation, Permutation, Permutation)>),
-    /// w²P: `w²` permutations indexed by `d3·w + d2`.
-    ManyPerm(Vec<Permutation>),
-    /// 1P+w²R: a permutation for `d1` plus `w²` shifts indexed by
-    /// `d3·w + d2`.
-    PermPlusRand(Permutation, Vec<u32>),
-}
-
 /// An address mapping for a 4-D array of shape `w × w × w × w`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// All of a scheme's random values live in one flat table of exactly
+/// [`Scheme4d::random_number_count`] entries, laid out in draw order:
+///
+/// | scheme | table |
+/// |---|---|
+/// | RAW | empty |
+/// | RAS | `w³` row shifts, row `d3·w² + d2·w + d1` |
+/// | 1P / R1P | `σ` |
+/// | 3P | `σ`, then `τ`, then `υ` |
+/// | w²P | `w²` permutations; `σ_{d3·w+d2}` is `[(d3·w+d2)·w ..][..w]` |
+/// | 1P+w²R | `σ`, then `w²` shifts indexed by `d3·w + d2` |
+///
+/// RAS and w²P therefore share one lookup, `table[(d3·w+d2)·w + d1]`.
+/// [`Mapping4d::redraw`] refills the table in place, so a Monte-Carlo
+/// sweep that draws a fresh mapping per trial allocates only once.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping4d {
     width: u32,
     scheme: Scheme4d,
-    data: ShiftData,
+    table: Vec<u32>,
 }
 
 impl Mapping4d {
-    /// Build the given scheme with fresh randomness for width `w`.
+    /// Build the given scheme with fresh randomness for width `w`: an
+    /// empty mapping plus one [`Mapping4d::redraw`].
     ///
     /// # Errors
     /// Returns [`CoreError::InvalidWidth`] if `w == 0`.
@@ -142,6 +141,33 @@ impl Mapping4d {
         rng: &mut R,
         width: usize,
     ) -> Result<Self, CoreError> {
+        let mut mapping = Self {
+            width: 0,
+            scheme,
+            table: Vec::new(),
+        };
+        mapping.redraw(scheme, rng, width)?;
+        Ok(mapping)
+    }
+
+    /// Replace this mapping with a fresh draw of `scheme` at width `w`,
+    /// reusing the table's allocation.
+    ///
+    /// Consumes `rng` exactly like [`Mapping4d::new`] — `w³` shift draws
+    /// for RAS, one Durstenfeld shuffle per permutation (the draws of
+    /// [`Permutation::random`](crate::Permutation::random)), `w²` shift
+    /// draws after `σ` for 1P+w²R — and leaves a mapping equal to the one
+    /// `new` would return. Scheme and width may change between calls.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::InvalidWidth`] if `w == 0`; the mapping is
+    /// then left unchanged and `rng` untouched.
+    pub fn redraw<R: Rng + ?Sized>(
+        &mut self,
+        scheme: Scheme4d,
+        rng: &mut R,
+        width: usize,
+    ) -> Result<(), CoreError> {
         if width == 0 {
             return Err(CoreError::InvalidWidth {
                 width,
@@ -149,34 +175,31 @@ impl Mapping4d {
             });
         }
         let w = width as u32;
-        let data = match scheme {
-            Scheme4d::Raw => ShiftData::None,
-            Scheme4d::Ras => ShiftData::PerRow(
-                (0..width * width * width)
-                    .map(|_| rng.gen_range(0..w))
-                    .collect(),
-            ),
-            Scheme4d::OneP | Scheme4d::R1P => ShiftData::OnePerm(Permutation::random(rng, width)),
-            Scheme4d::ThreeP => ShiftData::ThreePerm(Box::new((
-                Permutation::random(rng, width),
-                Permutation::random(rng, width),
-                Permutation::random(rng, width),
-            ))),
-            Scheme4d::WSquaredP => ShiftData::ManyPerm(
-                (0..width * width)
-                    .map(|_| Permutation::random(rng, width))
-                    .collect(),
-            ),
-            Scheme4d::OnePlusWSquaredR => ShiftData::PermPlusRand(
-                Permutation::random(rng, width),
-                (0..width * width).map(|_| rng.gen_range(0..w)).collect(),
-            ),
-        };
-        Ok(Self {
-            width: w,
-            scheme,
-            data,
-        })
+        self.width = w;
+        self.scheme = scheme;
+        let table = &mut self.table;
+        table.clear();
+        match scheme {
+            Scheme4d::Raw => {}
+            Scheme4d::Ras => {
+                table.extend((0..width * width * width).map(|_| rng.gen_range(0..w)));
+            }
+            Scheme4d::OneP | Scheme4d::R1P | Scheme4d::ThreeP | Scheme4d::WSquaredP => {
+                table.resize(scheme.random_number_count(width), 0);
+                for perm in table.chunks_exact_mut(width) {
+                    for (i, v) in perm.iter_mut().enumerate() {
+                        *v = i as u32;
+                    }
+                    shuffle(rng, perm);
+                }
+            }
+            Scheme4d::OnePlusWSquaredR => {
+                table.extend(0..w);
+                shuffle(rng, table);
+                table.extend((0..width * width).map(|_| rng.gen_range(0..w)));
+            }
+        }
+        Ok(())
     }
 
     /// Array width `w` (all four dimensions have this extent).
@@ -199,19 +222,18 @@ impl Mapping4d {
     #[inline]
     #[must_use]
     pub fn shift(&self, d1: u32, d2: u32, d3: u32) -> u32 {
-        let w = self.width;
-        debug_assert!(d1 < w && d2 < w && d3 < w);
-        match &self.data {
-            ShiftData::None => 0,
-            ShiftData::PerRow(rows) => rows[((d3 * w + d2) * w + d1) as usize],
-            ShiftData::OnePerm(sigma) => match self.scheme {
-                Scheme4d::OneP => sigma.apply(d1),
-                // R1P: the same permutation applied to all three indexes.
-                _ => sigma.apply(d1) + sigma.apply(d2) + sigma.apply(d3),
-            },
-            ShiftData::ThreePerm(p) => p.0.apply(d1) + p.1.apply(d2) + p.2.apply(d3),
-            ShiftData::ManyPerm(perms) => perms[(d3 * w + d2) as usize].apply(d1),
-            ShiftData::PermPlusRand(sigma, rand) => sigma.apply(d1) + rand[(d3 * w + d2) as usize],
+        debug_assert!(d1 < self.width && d2 < self.width && d3 < self.width);
+        let w = self.width as usize;
+        let (d1, d2, d3) = (d1 as usize, d2 as usize, d3 as usize);
+        let t = &self.table;
+        match self.scheme {
+            Scheme4d::Raw => 0,
+            Scheme4d::Ras | Scheme4d::WSquaredP => t[(d3 * w + d2) * w + d1],
+            Scheme4d::OneP => t[d1],
+            // R1P: the same permutation applied to all three indexes.
+            Scheme4d::R1P => t[d1] + t[d2] + t[d3],
+            Scheme4d::ThreeP => t[d1] + t[w + d2] + t[2 * w + d3],
+            Scheme4d::OnePlusWSquaredR => t[d1] + t[w + d3 * w + d2],
         }
     }
 
@@ -434,6 +456,20 @@ mod tests {
         assert_eq!(Scheme4d::ThreeP.random_number_count(w), 96);
         assert_eq!(Scheme4d::WSquaredP.random_number_count(w), 32 * 32 * 32);
         assert_eq!(Scheme4d::OnePlusWSquaredR.random_number_count(w), 1056);
+    }
+
+    #[test]
+    fn redraw_rejects_zero_width_and_keeps_the_mapping() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut m = Mapping4d::new(Scheme4d::ThreeP, &mut rng, 8).unwrap();
+        let before = m.clone();
+        let probe = rng.clone();
+        assert!(matches!(
+            m.redraw(Scheme4d::Ras, &mut rng, 0),
+            Err(CoreError::InvalidWidth { .. })
+        ));
+        assert_eq!(m, before);
+        assert_eq!(rng.gen::<u64>(), probe.clone().gen::<u64>());
     }
 
     #[test]

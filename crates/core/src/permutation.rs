@@ -52,11 +52,7 @@ impl Permutation {
     #[must_use]
     pub fn random<R: Rng + ?Sized>(rng: &mut R, len: usize) -> Self {
         let mut perm: Vec<u32> = (0..len as u32).collect();
-        // Durstenfeld's in-place Fisher-Yates: uniform over all len!.
-        for i in (1..len).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
+        shuffle(rng, &mut perm);
         Self { perm }
     }
 
@@ -165,6 +161,18 @@ impl Permutation {
         }
         cycles.sort_unstable();
         cycles
+    }
+}
+
+/// Shuffle `table` in place with Durstenfeld's Fisher–Yates, uniform
+/// over all `len!` orders. Applied to the identity it draws exactly like
+/// [`Permutation::random`], which it implements; `Mapping4d` uses it to
+/// refill its permutation tables without allocating.
+#[inline]
+pub(crate) fn shuffle<R: Rng + ?Sized>(rng: &mut R, table: &mut [u32]) {
+    for i in (1..table.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        table.swap(i, j);
     }
 }
 

@@ -407,6 +407,45 @@ mod tests {
         assert!(report.metrics.conserves_responses(), "{report:?}");
     }
 
+    /// 2 MiB with no newline: the server reads at most
+    /// `MAX_REQUEST_BYTES + 1` of it, answers `bad_request`, closes that
+    /// connection, and keeps serving others.
+    #[test]
+    fn unterminated_oversize_line_is_a_bad_request_and_closes_the_connection() {
+        use std::io::{BufRead, BufReader, Write};
+        let (handle, mut client) = small_server(ServerConfig::default());
+        let raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut writer = raw.try_clone().unwrap();
+        // The server stops reading past the cap, so the tail of the
+        // write may be refused; only the response matters.
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+        });
+        let mut reader = BufReader::new(raw);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a response line");
+        let resp: crate::protocol::Response = serde_json::from_str(line.trim()).unwrap();
+        assert_eq!(resp.error_kind(), Some("bad_request"), "{line}");
+        assert!(
+            resp.error.as_ref().unwrap().message.contains("exceeds"),
+            "{line}"
+        );
+        // Closed: EOF, or a reset because the unread tail was discarded.
+        let mut rest = String::new();
+        assert!(
+            matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "{rest}"
+        );
+        flood.join().unwrap();
+        let health = client.roundtrip(r#"{"cmd":"health","id":2}"#).unwrap();
+        assert!(health.ok, "{health:?}");
+        let report = shutdown(handle);
+        assert_eq!(report.metrics.bad_requests, 1);
+        assert!(report.metrics.conserves_responses(), "{report:?}");
+    }
+
     #[test]
     fn health_and_stats_answer_inline() {
         let (handle, mut client) = small_server(ServerConfig::default());

@@ -2,7 +2,8 @@
 //!
 //! Everything below the wire protocol lives here — accepting
 //! connections (with a hard cap and a structured one-line refusal),
-//! reading newline-delimited request lines, and writing response lines
+//! reading newline-delimited request lines (each capped at
+//! [`MAX_REQUEST_BYTES`]), and writing response lines
 //! through a per-connection [`SharedWriter`] so pipelined responses
 //! never interleave bytes. Nothing in this module interprets a command:
 //! a parsed [`Request`](crate::protocol::Request) is handed straight to
@@ -20,7 +21,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{ErrorKind, Request, Response};
 use crate::routing;
 use crate::server::Shared;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -95,19 +96,80 @@ fn refuse_connection(shared: &Arc<Shared>, stream: TcpStream) {
     );
 }
 
+/// Longest request line the server reads, newline excluded. Every
+/// command fits in a few hundred bytes; the cap only has to stop a
+/// client that never sends a newline from growing the line buffer
+/// without bound.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One framed read from a connection.
+enum Frame {
+    /// A complete line (or the final unterminated one before EOF), with
+    /// the `\n` or `\r\n` terminator stripped.
+    Line,
+    /// More than [`MAX_REQUEST_BYTES`] without a newline.
+    Oversize,
+    /// End of stream, or a read error.
+    Closed,
+}
+
+/// Read one request line into `buf`, never buffering more than
+/// `MAX_REQUEST_BYTES + 1` bytes of it.
+fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Frame {
+    buf.clear();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => Frame::Closed,
+        Ok(_) if buf.last() == Some(&b'\n') => {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            Frame::Line
+        }
+        Ok(_) if buf.len() > MAX_REQUEST_BYTES => Frame::Oversize,
+        Ok(_) => Frame::Line,
+    }
+}
+
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let out: SharedWriter = Arc::new(Mutex::new(write_half));
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_frame(&mut reader, &mut buf) {
+            Frame::Closed => break,
+            Frame::Oversize => {
+                // The rest of the line is never read: answer, then close
+                // the connection (once in-flight responses are written).
+                Metrics::bump(&shared.metrics.received);
+                Metrics::bump(&shared.metrics.bad_requests);
+                shared.write_response(
+                    &out,
+                    &Response::error(
+                        None,
+                        shared.breaker_state(),
+                        ErrorKind::BadRequest,
+                        format!(
+                            "request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"
+                        ),
+                    ),
+                );
+                break;
+            }
+            Frame::Line => match std::str::from_utf8(&buf) {
+                Ok(line) => line,
+                Err(_) => break,
+            },
+        };
         if line.trim().is_empty() {
             continue;
         }
         Metrics::bump(&shared.metrics.received);
-        match Request::parse(&line) {
+        match Request::parse(line) {
             Err(message) => {
                 Metrics::bump(&shared.metrics.bad_requests);
                 shared.write_response(
@@ -117,5 +179,58 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
             }
             Ok(request) => routing::dispatch(shared, request, &out),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    fn frames(input: &[u8]) -> Vec<Result<String, &'static str>> {
+        let mut reader = BufReader::new(Cursor::new(input.to_vec()));
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            match read_frame(&mut reader, &mut buf) {
+                Frame::Line => out.push(Ok(String::from_utf8(buf.clone()).unwrap())),
+                Frame::Oversize => {
+                    out.push(Err("oversize"));
+                    break;
+                }
+                Frame::Closed => break,
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn frames_strip_terminators_like_lines() {
+        assert_eq!(
+            frames(b"a\nb\r\n\nlast"),
+            vec![
+                Ok("a".to_string()),
+                Ok("b".to_string()),
+                Ok(String::new()),
+                Ok("last".to_string())
+            ]
+        );
+        assert!(frames(b"").is_empty());
+    }
+
+    /// A line of exactly `MAX_REQUEST_BYTES` is accepted, terminated or
+    /// not; one byte more without a newline is refused.
+    #[test]
+    fn frames_cap_the_line_at_max_request_bytes() {
+        let mut at_cap = vec![b'x'; MAX_REQUEST_BYTES];
+        assert_eq!(frames(&at_cap), vec![Ok("x".repeat(MAX_REQUEST_BYTES))]);
+        at_cap.extend_from_slice(b"\nok\n");
+        let got = frames(&at_cap);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[1], Ok("ok".to_string()));
+        let over = vec![b'x'; MAX_REQUEST_BYTES + 1];
+        assert_eq!(frames(&over), vec![Err("oversize")]);
+        let over_then_line = [vec![b'y'; 2 * MAX_REQUEST_BYTES], b"\nok\n".to_vec()].concat();
+        assert_eq!(frames(&over_then_line), vec![Err("oversize")]);
     }
 }
