@@ -61,6 +61,24 @@ impl std::fmt::Display for MatrixPattern {
     }
 }
 
+impl std::str::FromStr for MatrixPattern {
+    type Err = String;
+
+    /// Parse one of the four Table II pattern names, case-insensitively.
+    /// [`MatrixPattern::Broadcast`] is internal and has no name here.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "contiguous" => Ok(MatrixPattern::Contiguous),
+            "stride" => Ok(MatrixPattern::Stride),
+            "diagonal" => Ok(MatrixPattern::Diagonal),
+            "random" => Ok(MatrixPattern::Random),
+            other => Err(format!(
+                "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
+            )),
+        }
+    }
+}
+
 /// Generate the full access operation for `pattern` on a `w × w` matrix:
 /// one coordinate list per warp, `w` warps of `w` threads.
 ///
@@ -525,6 +543,32 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(77)
+    }
+
+    #[test]
+    fn table2_names_parse_case_insensitively_and_round_trip() {
+        for p in MatrixPattern::table2() {
+            assert_eq!(p.to_string().parse::<MatrixPattern>(), Ok(p));
+            assert_eq!(
+                p.name().to_ascii_uppercase().parse::<MatrixPattern>(),
+                Ok(p)
+            );
+            assert_eq!(
+                p.name().to_ascii_lowercase().parse::<MatrixPattern>(),
+                Ok(p)
+            );
+        }
+        assert_eq!(
+            "Zigzag".parse::<MatrixPattern>(),
+            Err(
+                "unknown pattern 'zigzag' (expected contiguous|stride|diagonal|random)".to_string()
+            )
+        );
+        // Broadcast is internal: it has a display name but no parse.
+        assert!(MatrixPattern::Broadcast
+            .to_string()
+            .parse::<MatrixPattern>()
+            .is_err());
     }
 
     #[test]

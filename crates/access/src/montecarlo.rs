@@ -32,7 +32,7 @@ use crate::cancel::{CancelToken, PartialStats};
 use crate::matrix::{self, Coord, MatrixPattern};
 use crate::scratch::AccessScratch;
 use rap_core::multidim::{Mapping4d, Scheme4d};
-use rap_core::{RowShift, Scheme};
+use rap_core::{MatrixMapping, RowShift, Scheme};
 use rap_stats::{OnlineStats, SeedDomain};
 use rayon::prelude::*;
 
@@ -369,6 +369,54 @@ pub fn matrix_congestion_cancellable(
     let mut completed_blocks = 0;
     for block in per_block.iter().flatten() {
         stats.merge(block);
+        completed_blocks += 1;
+    }
+    PartialStats {
+        stats,
+        completed_blocks,
+        total_blocks,
+        cancelled: completed_blocks < total_blocks,
+    }
+}
+
+/// Evaluate `pattern` under one **fixed** layout — a deterministic
+/// scheme (XOR, Padded) or a synthesized shift table, where there is no
+/// random state to sample per trial.
+///
+/// Only [`MatrixPattern::Random`] draws anything, so it runs `trials`
+/// trials (trial `t` generates from `domain.rng(t)`) and every other
+/// pattern runs exactly one. Each trial records every warp's
+/// congestion, through one reused [`AccessScratch`] and warp buffer.
+/// `token` is polled before each trial; the result counts trials as
+/// blocks (`total_blocks` is the trial count run) and is marked
+/// cancelled when the token fired before the last one.
+#[must_use]
+pub fn fixed_layout_congestion(
+    mapping: &dyn MatrixMapping,
+    pattern: MatrixPattern,
+    trials: u64,
+    domain: &SeedDomain,
+    token: &CancelToken,
+) -> PartialStats {
+    let total_blocks = if pattern == MatrixPattern::Random {
+        trials
+    } else {
+        1
+    };
+    let w = mapping.width();
+    let mut stats = OnlineStats::new();
+    let mut scratch = AccessScratch::default();
+    let mut warp = Vec::with_capacity(w);
+    let mut completed_blocks = 0;
+    for t in 0..total_blocks {
+        if token.is_cancelled() {
+            break;
+        }
+        let mut rng = domain.rng(t);
+        for k in 0..w as u32 {
+            matrix::generate_warp_into(pattern, w, k, &mut rng, &mut warp);
+            stats.push_u32(matrix::warp_congestion_with(mapping, &warp, &mut scratch));
+        }
         completed_blocks += 1;
     }
     PartialStats {
@@ -744,6 +792,33 @@ mod tests {
             matrix_congestion_cancellable(Scheme::Rap, MatrixPattern::Stride, 16, 640, &d, &token);
         assert!(run.cancelled, "an already-expired deadline must cancel");
         assert!(run.completed_blocks < run.total_blocks);
+    }
+
+    #[test]
+    fn fixed_layouts_sample_only_the_random_pattern() {
+        let d = domain();
+        let never = CancelToken::never();
+        let padded = rap_core::modern::Padded::new(8).unwrap();
+        let stride = fixed_layout_congestion(&padded, MatrixPattern::Stride, 50, &d, &never);
+        assert_eq!((stride.completed_blocks, stride.total_blocks), (1, 1));
+        assert_eq!(stride.stats.count(), 8, "one trial of w warps");
+        assert_eq!(stride.stats.max(), Some(1.0), "padding makes columns CF");
+        let random = fixed_layout_congestion(&padded, MatrixPattern::Random, 5, &d, &never);
+        assert_eq!((random.completed_blocks, random.total_blocks), (5, 5));
+        assert!(!random.cancelled);
+        // Trial t generates from domain.rng(t), nothing else.
+        let mut reference = OnlineStats::new();
+        for t in 0..5 {
+            for warp in matrix::generate(MatrixPattern::Random, 8, &mut d.rng(t)) {
+                reference.push_u32(matrix::warp_congestion(&padded, &warp));
+            }
+        }
+        assert_eq!(random.stats.to_raw(), reference.to_raw());
+        let cancelled = CancelToken::never();
+        cancelled.cancel();
+        let run = fixed_layout_congestion(&padded, MatrixPattern::Random, 5, &d, &cancelled);
+        assert!(run.cancelled);
+        assert_eq!((run.completed_blocks, run.stats.count()), (0, 0));
     }
 
     /// A single block (trials ≤ TRIALS_PER_BLOCK) merges into an empty

@@ -17,7 +17,8 @@
 //! `(j + layout[i]) mod w`.
 
 use crate::monitor::{TrafficClass, CLASSES};
-use rap_analyze::{fallback_bounds, FallbackPattern};
+use rap_access::MatrixPattern;
+use rap_analyze::fallback_bounds;
 use rap_core::Scheme;
 
 /// What a candidate actually is, once active.
@@ -127,14 +128,14 @@ fn table_bounds(layout: &[u32], width: usize) -> [u32; CLASSES] {
     bounds
 }
 
-/// The prover pattern matching a monitor class.
+/// The Table II pattern family a monitor class tracks.
 #[must_use]
-pub fn class_pattern(class: TrafficClass) -> FallbackPattern {
+pub fn class_pattern(class: TrafficClass) -> MatrixPattern {
     match class {
-        TrafficClass::Contiguous => FallbackPattern::Contiguous,
-        TrafficClass::Stride => FallbackPattern::Stride,
-        TrafficClass::Diagonal => FallbackPattern::Diagonal,
-        TrafficClass::Random => FallbackPattern::Random,
+        TrafficClass::Contiguous => MatrixPattern::Contiguous,
+        TrafficClass::Stride => MatrixPattern::Stride,
+        TrafficClass::Diagonal => MatrixPattern::Diagonal,
+        TrafficClass::Random => MatrixPattern::Random,
     }
 }
 

@@ -409,15 +409,15 @@ pub fn candidate_from_record(record: &EpochRecord, width: usize) -> Result<Candi
         return Candidate::from_table(&record.to, layout.clone(), width)
             .map_err(|_| EpochError::UnknownTarget(record.to.clone()));
     }
-    let scheme = match record.to.as_str() {
-        "raw" => Scheme::Raw,
-        "ras" => Scheme::Ras,
-        "rap" => Scheme::Rap,
-        "xor" => Scheme::Xor,
-        "padded" => Scheme::Padded,
-        _ => return Err(EpochError::UnknownTarget(record.to.clone())),
-    };
-    Candidate::of_scheme(scheme, width).map_err(|_| EpochError::UnknownTarget(record.to.clone()))
+    record
+        .to
+        .parse::<Scheme>()
+        .ok()
+        .and_then(|scheme| Candidate::of_scheme(scheme, width).ok())
+        // Ledgers spell static targets by candidate name; a record that
+        // names a scheme any other way is not one this controller wrote.
+        .filter(|candidate| candidate.name == record.to)
+        .ok_or_else(|| EpochError::UnknownTarget(record.to.clone()))
 }
 
 /// The outcome of replaying a record stream.
@@ -585,6 +585,26 @@ mod tests {
         let back: EpochRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rec);
         let _ = set;
+    }
+
+    #[test]
+    fn static_targets_rebuild_only_from_candidate_names() {
+        let set = cands();
+        let rap = set.iter().find(|c| c.name == "rap").unwrap();
+        let rec = machine().prepare(Phase::Proposed, Some(rap)).unwrap();
+        assert_eq!(candidate_from_record(&rec, 8).unwrap(), *rap);
+        // Scheme names parse case-insensitively, but a ledger record
+        // carries the candidate name the controller wrote, verbatim.
+        for to in ["RAP", "bogus"] {
+            let tampered = EpochRecord {
+                to: to.to_string(),
+                ..rec.clone()
+            };
+            assert!(matches!(
+                candidate_from_record(&tampered, 8),
+                Err(EpochError::UnknownTarget(ref t)) if t == to
+            ));
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Traffic classes tracked by the monitor.
 ///
-/// Mirrors `rap-analyze`'s `FallbackPattern` — the four Monte-Carlo
-/// pattern families — because those are exactly the classes the prover
-/// can certify bounds for.
+/// One class per Table II pattern family (`rap_access::MatrixPattern`
+/// minus the internal `Broadcast`), because those are exactly the
+/// families the prover can certify bounds for; `candidates::class_pattern`
+/// maps a class to its pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TrafficClass {
     /// Warp `r` reads row `r` contiguously.
@@ -67,12 +68,19 @@ impl TrafficClass {
             TrafficClass::Random => "random",
         }
     }
+}
 
-    /// Parse a class name (case-insensitive).
-    ///
-    /// # Errors
-    /// Names the unknown class.
-    pub fn parse(s: &str) -> Result<Self, String> {
+impl std::fmt::Display for TrafficClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for TrafficClass {
+    type Err = String;
+
+    /// Parse a class name, case-insensitively.
+    fn from_str(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
             "contiguous" => Ok(TrafficClass::Contiguous),
             "stride" => Ok(TrafficClass::Stride),
@@ -82,12 +90,6 @@ impl TrafficClass {
                 "unknown traffic class '{other}' (expected contiguous|stride|diagonal|random)"
             )),
         }
-    }
-}
-
-impl std::fmt::Display for TrafficClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -252,9 +254,26 @@ mod tests {
     fn class_index_round_trips() {
         for class in TrafficClass::ALL {
             assert_eq!(TrafficClass::ALL[class.index()], class);
-            assert_eq!(TrafficClass::parse(class.name()).unwrap(), class);
         }
-        assert!(TrafficClass::parse("bogus").is_err());
+    }
+
+    #[test]
+    fn names_parse_case_insensitively_and_round_trip() {
+        for class in TrafficClass::ALL {
+            assert_eq!(class.to_string().parse::<TrafficClass>(), Ok(class));
+            assert_eq!(
+                class.name().to_ascii_uppercase().parse::<TrafficClass>(),
+                Ok(class)
+            );
+        }
+        assert_eq!("Stride".parse::<TrafficClass>(), Ok(TrafficClass::Stride));
+        assert_eq!(
+            "BOGUS".parse::<TrafficClass>(),
+            Err(
+                "unknown traffic class 'bogus' (expected contiguous|stride|diagonal|random)"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

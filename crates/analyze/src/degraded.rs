@@ -24,62 +24,14 @@
 //! * **random** — not affine, so no symbolic bound exists; the envelope
 //!   `[1, w]` is trivially sound (congestion is at least 1 and at most
 //!   the warp size) and honestly labelled as such in `reason`.
+//!
+//! `Broadcast`, which no request can name, gets the same trivial
+//! envelope.
 
 use crate::engine::{Analysis, Prover};
 use crate::ir::{AffineWarp, AnalyzeError};
+use rap_access::MatrixPattern;
 use rap_core::Scheme;
-
-/// The Monte-Carlo pattern families a degraded answer can cover.
-///
-/// Mirrors `rap-access`'s `MatrixPattern` (minus `Broadcast`, which the
-/// estimators do not sample) without depending on that crate — the
-/// analyzer sits below the access layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum FallbackPattern {
-    /// Warp `r` reads row `r` contiguously.
-    Contiguous,
-    /// Warp `c` reads column `c` (the paper's stride access).
-    Stride,
-    /// Warp `d` reads the `d`-shifted diagonal.
-    Diagonal,
-    /// Fresh uniform coordinates per lane.
-    Random,
-}
-
-impl FallbackPattern {
-    /// Parse the Monte-Carlo pattern name (case-insensitive).
-    ///
-    /// # Errors
-    /// Names the unknown pattern.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "contiguous" => Ok(Self::Contiguous),
-            "stride" => Ok(Self::Stride),
-            "diagonal" => Ok(Self::Diagonal),
-            "random" => Ok(Self::Random),
-            other => Err(format!(
-                "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
-            )),
-        }
-    }
-
-    /// Lower-case display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Contiguous => "contiguous",
-            Self::Stride => "stride",
-            Self::Diagonal => "diagonal",
-            Self::Random => "random",
-        }
-    }
-}
-
-impl std::fmt::Display for FallbackPattern {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A sound congestion interval for `pattern` under `scheme` at width
 /// `width`, valid for every warp of the family and every instantiation
@@ -87,15 +39,16 @@ impl std::fmt::Display for FallbackPattern {
 /// representative warp suffices).
 ///
 /// For the affine families this is the real prover verdict — exact
-/// bounds with an attaining witness. For [`FallbackPattern::Random`]
-/// it is the trivially sound `[1, w]` envelope with no witness.
+/// bounds with an attaining witness. For [`MatrixPattern::Random`] (and
+/// the internal [`MatrixPattern::Broadcast`]) it is the trivially sound
+/// `[1, w]` envelope with no witness.
 ///
 /// # Errors
 /// Propagates [`AnalyzeError`] for `width == 0` or a scheme/width
 /// combination the prover rejects (XOR at non-power-of-two widths).
 pub fn fallback_bounds(
     scheme: Scheme,
-    pattern: FallbackPattern,
+    pattern: MatrixPattern,
     width: usize,
 ) -> Result<Analysis, AnalyzeError> {
     if width == 0 {
@@ -103,20 +56,25 @@ pub fn fallback_bounds(
     }
     let prover = Prover::new(width)?;
     let warp = match pattern {
-        FallbackPattern::Contiguous => AffineWarp::contiguous(0, width),
-        FallbackPattern::Stride => AffineWarp::column(0, width),
+        MatrixPattern::Contiguous => AffineWarp::contiguous(0, width),
+        MatrixPattern::Stride => AffineWarp::column(0, width),
         // Warp `d` of the Monte-Carlo diagonal family is
         // `(t, (t + d) mod w)`; `AffineWarp::diagonal` is its transpose
         // `((t + d) mod w, t)`. Spell the estimator's orientation out so
         // the bound covers exactly what the simulation samples.
-        FallbackPattern::Diagonal => AffineWarp::new(
+        MatrixPattern::Diagonal => AffineWarp::new(
             crate::ir::AffineForm::Coord {
                 i: crate::ir::Axis::lane(),
                 j: crate::ir::Axis::new(1, 0),
             },
             width,
         ),
-        FallbackPattern::Random => {
+        MatrixPattern::Random | MatrixPattern::Broadcast => {
+            let why = if pattern == MatrixPattern::Random {
+                "random pattern is not affine"
+            } else {
+                "broadcast is not a sampled pattern family"
+            };
             return Ok(Analysis {
                 scheme,
                 width,
@@ -126,7 +84,7 @@ pub fn fallback_bounds(
                 lo: 1,
                 hi: width as u32,
                 reason: format!(
-                    "random pattern is not affine; [1, {width}] is the trivially \
+                    "{why}; [1, {width}] is the trivially \
                      sound envelope (congestion of a non-empty warp is ≥ 1 and \
                      ≤ the warp size)"
                 ),
@@ -137,7 +95,8 @@ pub fn fallback_bounds(
     let mut analysis = prover.analyze(&warp, scheme)?;
     analysis.reason = format!(
         "{} family (warp-symmetric, representative warp 0): {}",
-        pattern, analysis.reason
+        pattern.name().to_ascii_lowercase(),
+        analysis.reason
     );
     Ok(analysis)
 }
@@ -149,26 +108,26 @@ mod tests {
     #[test]
     fn contiguous_is_conflict_free_everywhere() {
         for scheme in [Scheme::Raw, Scheme::Ras, Scheme::Rap, Scheme::Padded] {
-            let a = fallback_bounds(scheme, FallbackPattern::Contiguous, 16).unwrap();
+            let a = fallback_bounds(scheme, MatrixPattern::Contiguous, 16).unwrap();
             assert!(a.conflict_free_for_all(), "{scheme}: {a:?}");
         }
     }
 
     #[test]
     fn stride_bounds_separate_the_schemes() {
-        let raw = fallback_bounds(Scheme::Raw, FallbackPattern::Stride, 16).unwrap();
+        let raw = fallback_bounds(Scheme::Raw, MatrixPattern::Stride, 16).unwrap();
         assert_eq!((raw.lo, raw.hi), (16, 16), "RAW column fully serializes");
-        let rap = fallback_bounds(Scheme::Rap, FallbackPattern::Stride, 16).unwrap();
+        let rap = fallback_bounds(Scheme::Rap, MatrixPattern::Stride, 16).unwrap();
         assert_eq!(rap.hi, 1, "Theorem 2: RAP column is CF for every σ");
-        let ras = fallback_bounds(Scheme::Ras, FallbackPattern::Stride, 16).unwrap();
+        let ras = fallback_bounds(Scheme::Ras, MatrixPattern::Stride, 16).unwrap();
         assert_eq!((ras.lo, ras.hi), (1, 16), "RAS shifts can align or spread");
     }
 
     #[test]
     fn diagonal_bounds_match_theory() {
-        let raw = fallback_bounds(Scheme::Raw, FallbackPattern::Diagonal, 16).unwrap();
+        let raw = fallback_bounds(Scheme::Raw, MatrixPattern::Diagonal, 16).unwrap();
         assert_eq!(raw.hi, 1, "diagonal is RAW's optimized pattern");
-        let rap = fallback_bounds(Scheme::Rap, FallbackPattern::Diagonal, 16).unwrap();
+        let rap = fallback_bounds(Scheme::Rap, MatrixPattern::Diagonal, 16).unwrap();
         assert_eq!(
             (rap.lo, rap.hi),
             (1, 16),
@@ -178,7 +137,7 @@ mod tests {
 
     #[test]
     fn random_envelope_is_trivial_but_labelled() {
-        let a = fallback_bounds(Scheme::Rap, FallbackPattern::Random, 32).unwrap();
+        let a = fallback_bounds(Scheme::Rap, MatrixPattern::Random, 32).unwrap();
         assert_eq!((a.lo, a.hi), (1, 32));
         assert!(a.witness.is_none());
         assert!(a.reason.contains("trivially sound"), "{}", a.reason);
@@ -196,9 +155,9 @@ mod tests {
             rand::rngs::SmallRng::seed_from_u64(7)
         };
         for pattern in [
-            FallbackPattern::Contiguous,
-            FallbackPattern::Stride,
-            FallbackPattern::Diagonal,
+            MatrixPattern::Contiguous,
+            MatrixPattern::Stride,
+            MatrixPattern::Diagonal,
         ] {
             for scheme in [Scheme::Raw, Scheme::Ras, Scheme::Rap] {
                 let a = fallback_bounds(scheme, pattern, w).unwrap();
@@ -207,10 +166,12 @@ mod tests {
                     for warp in 0..w as u32 {
                         let cells: Vec<(u32, u32)> = (0..w as u32)
                             .map(|t| match pattern {
-                                FallbackPattern::Contiguous => (warp, t),
-                                FallbackPattern::Stride => (t, warp),
-                                FallbackPattern::Diagonal => (t, (t + warp) % w as u32),
-                                FallbackPattern::Random => unreachable!(),
+                                MatrixPattern::Contiguous => (warp, t),
+                                MatrixPattern::Stride => (t, warp),
+                                MatrixPattern::Diagonal => (t, (t + warp) % w as u32),
+                                MatrixPattern::Random | MatrixPattern::Broadcast => {
+                                    unreachable!()
+                                }
                             })
                             .collect();
                         let mut loads = vec![0u32; w];
@@ -234,16 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_errors() {
-        assert_eq!(
-            FallbackPattern::parse("STRIDE").unwrap(),
-            FallbackPattern::Stride
-        );
-        assert!(FallbackPattern::parse("zigzag")
-            .unwrap_err()
-            .contains("zigzag"));
+    fn zero_width_is_an_error() {
         assert!(matches!(
-            fallback_bounds(Scheme::Rap, FallbackPattern::Stride, 0),
+            fallback_bounds(Scheme::Rap, MatrixPattern::Stride, 0),
             Err(AnalyzeError::ZeroWidth)
         ));
     }

@@ -41,7 +41,7 @@ pub mod lemmas;
 pub mod lint;
 pub mod theorems;
 
-pub use degraded::{fallback_bounds, FallbackPattern};
+pub use degraded::fallback_bounds;
 pub use engine::{Analysis, Prover, Witness};
 pub use ir::{AffineForm, AffineWarp, AnalyzeError, Axis};
 pub use lemmas::{

@@ -1,17 +1,21 @@
 //! Edge cases of the degraded-path bounds (`rap_analyze::degraded`):
 //! the zero-width guard across every pattern family, exactness (`lo ==
 //! hi`) of the envelopes the breaker-open serve path reports verbatim,
-//! and the SWAR boundary widths 63/64/65 where the bit-parallel
-//! congestion kernel switches word layouts underneath the prover.
+//! the trivial envelope of the non-affine arms (Random and the internal
+//! Broadcast), and the SWAR boundary widths 63/64/65 where the
+//! bit-parallel congestion kernel switches word layouts underneath the
+//! prover.
 
-use rap_analyze::{fallback_bounds, AnalyzeError, FallbackPattern};
+use rap_access::MatrixPattern;
+use rap_analyze::{fallback_bounds, AnalyzeError};
 use rap_core::Scheme;
 
-const PATTERNS: [FallbackPattern; 4] = [
-    FallbackPattern::Contiguous,
-    FallbackPattern::Stride,
-    FallbackPattern::Diagonal,
-    FallbackPattern::Random,
+const PATTERNS: [MatrixPattern; 5] = [
+    MatrixPattern::Contiguous,
+    MatrixPattern::Stride,
+    MatrixPattern::Diagonal,
+    MatrixPattern::Random,
+    MatrixPattern::Broadcast,
 ];
 
 #[test]
@@ -37,14 +41,14 @@ fn exact_envelopes_collapse_to_lo_eq_hi() {
     // degraded answer is as sharp as the full simulation's.
     for w in [8usize, 16, 63, 64, 65] {
         for scheme in [Scheme::Raw, Scheme::Ras, Scheme::Rap, Scheme::Padded] {
-            let a = fallback_bounds(scheme, FallbackPattern::Contiguous, w).unwrap();
+            let a = fallback_bounds(scheme, MatrixPattern::Contiguous, w).unwrap();
             assert!(a.exact(), "{scheme} contiguous w={w}: [{}, {}]", a.lo, a.hi);
             assert_eq!(a.hi, 1, "rows are conflict-free under every row shift");
         }
-        let raw = fallback_bounds(Scheme::Raw, FallbackPattern::Stride, w).unwrap();
+        let raw = fallback_bounds(Scheme::Raw, MatrixPattern::Stride, w).unwrap();
         assert!(raw.exact(), "RAW stride is deterministic");
         assert_eq!(raw.hi, w as u32, "RAW column fully serializes");
-        let rap = fallback_bounds(Scheme::Rap, FallbackPattern::Stride, w).unwrap();
+        let rap = fallback_bounds(Scheme::Rap, MatrixPattern::Stride, w).unwrap();
         assert!(rap.exact(), "Theorem 2 collapses the RAP column interval");
         assert_eq!(rap.hi, 1);
     }
@@ -63,9 +67,9 @@ fn swar_boundary_widths_bound_every_simulated_warp() {
     let mut rng = SmallRng::seed_from_u64(2014);
     for w in [63usize, 64, 65] {
         for pattern in [
-            FallbackPattern::Contiguous,
-            FallbackPattern::Stride,
-            FallbackPattern::Diagonal,
+            MatrixPattern::Contiguous,
+            MatrixPattern::Stride,
+            MatrixPattern::Diagonal,
         ] {
             for scheme in [Scheme::Raw, Scheme::Ras, Scheme::Rap, Scheme::Padded] {
                 let a = fallback_bounds(scheme, pattern, w).unwrap();
@@ -75,10 +79,12 @@ fn swar_boundary_widths_bound_every_simulated_warp() {
                     let addrs: Vec<u64> = (0..w as u32)
                         .map(|t| {
                             let (i, j) = match pattern {
-                                FallbackPattern::Contiguous => (0, t),
-                                FallbackPattern::Stride => (t, 0),
-                                FallbackPattern::Diagonal => (t, t),
-                                FallbackPattern::Random => unreachable!(),
+                                MatrixPattern::Contiguous => (0, t),
+                                MatrixPattern::Stride => (t, 0),
+                                MatrixPattern::Diagonal => (t, t),
+                                MatrixPattern::Random | MatrixPattern::Broadcast => {
+                                    unreachable!()
+                                }
                             };
                             u64::from(mapping.address(i, j))
                         })
@@ -97,12 +103,43 @@ fn swar_boundary_widths_bound_every_simulated_warp() {
 }
 
 #[test]
+fn broadcast_gets_the_trivial_envelope_like_random() {
+    // No request can name Broadcast, but `fallback_bounds` takes any
+    // `MatrixPattern`: it must answer with the same sound `[1, w]`
+    // envelope as Random (no witness), labelled as trivial, and that
+    // envelope must contain what the simulation measures.
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use rap_access::matrix::{generate, warp_congestion};
+
+    let mut rng = SmallRng::seed_from_u64(2014);
+    for w in [2usize, 8, 63, 64, 65] {
+        for scheme in Scheme::extended() {
+            if scheme == Scheme::Xor && !w.is_power_of_two() {
+                continue;
+            }
+            let b = fallback_bounds(scheme, MatrixPattern::Broadcast, w).unwrap();
+            let r = fallback_bounds(scheme, MatrixPattern::Random, w).unwrap();
+            assert_eq!((b.lo, b.hi), (1, w as u32), "{scheme} w={w}");
+            assert_eq!((b.lo, b.hi), (r.lo, r.hi), "{scheme} w={w}");
+            assert!(b.witness.is_none(), "{scheme} w={w}");
+            assert!(b.reason.contains("trivially sound"), "{}", b.reason);
+            assert!(b.reason.starts_with("broadcast"), "{}", b.reason);
+            let mapping = rap_core::build_mapping(scheme, &mut rng, w);
+            for warp in generate(MatrixPattern::Broadcast, w, &mut rng) {
+                assert!(b.contains(warp_congestion(mapping.as_ref(), &warp)));
+            }
+        }
+    }
+}
+
+#[test]
 fn xor_at_swar_boundaries_is_gated_not_crashed() {
     // 64 is a power of two, 63/65 are not: the prover must answer at 64
     // and return a contextual error (never panic) at its neighbours.
-    assert!(fallback_bounds(Scheme::Xor, FallbackPattern::Stride, 64).is_ok());
+    assert!(fallback_bounds(Scheme::Xor, MatrixPattern::Stride, 64).is_ok());
     for w in [63usize, 65] {
-        let err = fallback_bounds(Scheme::Xor, FallbackPattern::Stride, w).unwrap_err();
+        let err = fallback_bounds(Scheme::Xor, MatrixPattern::Stride, w).unwrap_err();
         assert!(
             err.to_string().contains("power of two") || err.to_string().contains("power-of-two"),
             "w={w}: {err}"

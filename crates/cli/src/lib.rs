@@ -26,8 +26,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rap_access::montecarlo::matrix_congestion;
-use rap_access::MatrixPattern;
+use rap_access::montecarlo::{fixed_layout_congestion, matrix_congestion};
+use rap_access::{CancelToken, MatrixPattern};
 use rap_analyze::{certify_theorem1, certify_theorem2, lint_plans, LintReport, TheoremReport};
 use rap_core::diagnostics::{render_bank_loads, render_layout};
 use rap_core::modern::build_mapping;
@@ -190,40 +190,6 @@ fn checked_width(opts: &Opts, default: usize) -> Result<usize, String> {
     Ok(width)
 }
 
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "raw" => Ok(Scheme::Raw),
-        "ras" => Ok(Scheme::Ras),
-        "rap" => Ok(Scheme::Rap),
-        "xor" => Ok(Scheme::Xor),
-        "padded" => Ok(Scheme::Padded),
-        other => Err(format!(
-            "unknown scheme '{other}' (expected raw|ras|rap|xor|padded)"
-        )),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<TransposeKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "crsw" => Ok(TransposeKind::Crsw),
-        "srcw" => Ok(TransposeKind::Srcw),
-        "drdw" => Ok(TransposeKind::Drdw),
-        other => Err(format!("unknown kind '{other}' (expected crsw|srcw|drdw)")),
-    }
-}
-
-fn parse_pattern(s: &str) -> Result<MatrixPattern, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "contiguous" => Ok(MatrixPattern::Contiguous),
-        "stride" => Ok(MatrixPattern::Stride),
-        "diagonal" => Ok(MatrixPattern::Diagonal),
-        "random" => Ok(MatrixPattern::Random),
-        other => Err(format!(
-            "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
-        )),
-    }
-}
-
 /// Execute a command line (without the program name) and return the
 /// rendered output.
 ///
@@ -257,7 +223,7 @@ fn mapping_for(
     opts: &Opts,
     default_width: usize,
 ) -> Result<(Box<dyn MatrixMapping>, usize), String> {
-    let scheme = parse_scheme(opts.required("scheme")?)?;
+    let scheme: Scheme = opts.required("scheme")?.parse()?;
     let width = checked_width(opts, default_width)?;
     if scheme == Scheme::Xor && !width.is_power_of_two() {
         return Err("--scheme xor needs a power-of-two --width".into());
@@ -288,34 +254,23 @@ fn cmd_congestion(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_pattern(opts: &Opts) -> Result<String, String> {
-    let pattern = parse_pattern(opts.required("pattern")?)?;
-    let scheme = parse_scheme(opts.required("scheme")?)?;
+    let pattern: MatrixPattern = opts.required("pattern")?.parse()?;
+    let scheme: Scheme = opts.required("scheme")?.parse()?;
     let width = checked_width(opts, 32)?;
     let trials = opts.u64("trials", 1000)?.max(1);
-    let seed = opts.u64("seed", 2014)?;
+    let domain = SeedDomain::new(opts.u64("seed", 2014)?);
     let stats = match scheme {
         Scheme::Raw | Scheme::Ras | Scheme::Rap => {
-            matrix_congestion(scheme, pattern, width, trials, &SeedDomain::new(seed))
+            matrix_congestion(scheme, pattern, width, trials, &domain)
         }
-        // Deterministic layouts: evaluate the pattern directly.
+        // Deterministic layouts draw nothing from the rng: build once.
         Scheme::Xor | Scheme::Padded => {
             if scheme == Scheme::Xor && !width.is_power_of_two() {
                 return Err("--scheme xor needs a power-of-two --width".into());
             }
-            let mut stats = rap_stats::OnlineStats::new();
-            let n_trials = if pattern == MatrixPattern::Random {
-                trials
-            } else {
-                1
-            };
-            for t in 0..n_trials {
-                let mut rng = SeedDomain::new(seed).rng(t);
-                let mapping = build_mapping(scheme, &mut rng, width);
-                for warp in rap_access::matrix::generate(pattern, width, &mut rng) {
-                    stats.push_u32(rap_access::matrix::warp_congestion(mapping.as_ref(), &warp));
-                }
-            }
-            stats
+            let mapping = build_mapping(scheme, &mut domain.rng(0), width);
+            let never = CancelToken::never();
+            fixed_layout_congestion(mapping.as_ref(), pattern, trials, &domain, &never).stats
         }
     };
     Ok(format!(
@@ -329,7 +284,7 @@ fn cmd_pattern(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_transpose(opts: &Opts) -> Result<String, String> {
-    let kind = parse_kind(opts.required("kind")?)?;
+    let kind: TransposeKind = opts.required("kind")?.parse()?;
     let (mapping, width) = mapping_for(opts, 32)?;
     let latency = opts.u64("latency", 8)?.max(1);
     let data: Vec<f64> = (0..width * width).map(|x| x as f64).collect();
@@ -346,7 +301,7 @@ fn cmd_transpose(opts: &Opts) -> Result<String, String> {
 }
 
 fn cmd_trace(opts: &Opts) -> Result<String, String> {
-    let kind = parse_kind(opts.required("kind")?)?;
+    let kind: TransposeKind = opts.required("kind")?.parse()?;
     let (mapping, width) = mapping_for(opts, 8)?;
     let latency = opts.u64("latency", 3)?.max(1);
     let machine: Dmm = Machine::new(width, latency);
@@ -646,8 +601,16 @@ struct ClusterOptions {
 /// spawned: worker counts, external addresses (rejecting duplicates —
 /// two workers cannot share a port), and the sampled-scheme requirement.
 fn cluster_options(opts: &Opts) -> Result<ClusterOptions, String> {
-    let pattern = parse_pattern(opts.map.get("pattern").map_or("random", String::as_str))?;
-    let scheme = parse_scheme(opts.map.get("scheme").map_or("rap", String::as_str))?;
+    let pattern: MatrixPattern = opts
+        .map
+        .get("pattern")
+        .map_or("random", String::as_str)
+        .parse()?;
+    let scheme: Scheme = opts
+        .map
+        .get("scheme")
+        .map_or("rap", String::as_str)
+        .parse()?;
     if !matches!(scheme, Scheme::Raw | Scheme::Ras | Scheme::Rap) {
         return Err(format!(
             "--scheme {scheme} is deterministic — there are no Monte-Carlo trials to distribute \
@@ -817,19 +780,6 @@ struct AccessOutput {
     analysis: rap_analyze::Analysis,
 }
 
-fn parse_traffic_class(s: &str) -> Result<rap_adapt::TrafficClass, String> {
-    use rap_adapt::TrafficClass;
-    match s.to_ascii_lowercase().as_str() {
-        "contiguous" => Ok(TrafficClass::Contiguous),
-        "stride" => Ok(TrafficClass::Stride),
-        "diagonal" => Ok(TrafficClass::Diagonal),
-        "random" => Ok(TrafficClass::Random),
-        other => Err(format!(
-            "unknown traffic class '{other}' (expected contiguous|stride|diagonal|random)"
-        )),
-    }
-}
-
 fn cmd_adapt(opts: &Opts) -> Result<String, String> {
     use rap_adapt::AdaptiveController;
     let trace_path = opts.required("trace")?.to_string();
@@ -881,7 +831,7 @@ fn cmd_adapt(opts: &Opts) -> Result<String, String> {
                 log.push_str(&format!("freeze {}\n", if on { "on" } else { "off" }));
             }
             class => {
-                let class = parse_traffic_class(class).map_err(at)?;
+                let class: rap_adapt::TrafficClass = class.parse().map_err(at)?;
                 let value: f64 = parts
                     .next()
                     .ok_or_else(|| at("observation needs a congestion value".to_string()))?
@@ -949,7 +899,7 @@ fn cmd_analyze(opts: &Opts) -> Result<String, String> {
     let lint_schemes: Vec<Scheme> = if scheme_arg.eq_ignore_ascii_case("all") {
         Scheme::all().to_vec()
     } else {
-        vec![parse_scheme(scheme_arg)?]
+        vec![scheme_arg.parse()?]
     };
     let theorems = vec![
         certify_theorem1(width).map_err(|e| e.to_string())?,
@@ -1054,7 +1004,7 @@ fn cmd_synthesize(opts: &Opts) -> Result<String, String> {
         out.push_str(&format!("certificate written to {path}\n"));
     }
     if let Some(scheme_arg) = opts.map.get("lint") {
-        let scheme = parse_scheme(scheme_arg)?;
+        let scheme: Scheme = scheme_arg.parse()?;
         let cert_ref = emit_path.map_or("<in-memory certificate>", String::as_str);
         let diags = lint_against_optimum(cert, scheme, cert_ref)?;
         if diags.is_empty() {

@@ -22,10 +22,10 @@ use crate::oracle::{Divergence, Oracle};
 use crate::pattern::splitmix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rap_access::CancelToken;
+use rap_access::{CancelToken, MatrixPattern};
 use rap_adapt::{AdaptConfig, AdaptiveController};
 use rap_serve::handler::execute;
-use rap_serve::Command;
+use rap_serve::{Command, PatternScheme};
 
 /// Differential oracle pitting `scheme:"adaptive"` against the static
 /// scheme paths, before and after a forced epoch swap.
@@ -37,8 +37,6 @@ pub struct AdaptOracle;
 const CANDIDATES: &[&str] = &["raw", "ras", "rap", "xor", "padded"];
 
 const WIDTHS: &[usize] = &[4, 8, 16];
-
-const PATTERNS: &[&str] = &["contiguous", "stride", "diagonal", "random"];
 
 /// One decoded case: a controller configuration, a request sequence,
 /// and a forced swap target distinct from the initial scheme.
@@ -71,11 +69,12 @@ fn decode(seed: u64) -> Case {
             break t;
         }
     };
+    let patterns = MatrixPattern::table2();
     let n = rng.gen_range(2..=5usize);
     let requests = (0..n)
         .map(|_| Command::Pattern {
-            pattern: PATTERNS[rng.gen_range(0..PATTERNS.len())].to_string(),
-            scheme: "adaptive".to_string(),
+            pattern: patterns[rng.gen_range(0..patterns.len())],
+            scheme: PatternScheme::Adaptive,
             width,
             trials: rng.gen_range(1..=24u64),
             seed: rng.gen(),
@@ -89,7 +88,7 @@ fn decode(seed: u64) -> Case {
     }
 }
 
-/// The same request re-targeted at a static scheme name.
+/// The same request re-targeted at a static candidate, by name.
 fn as_static(cmd: &Command, scheme: &str) -> Command {
     match cmd {
         Command::Pattern {
@@ -99,8 +98,8 @@ fn as_static(cmd: &Command, scheme: &str) -> Command {
             seed,
             ..
         } => Command::Pattern {
-            pattern: pattern.clone(),
-            scheme: scheme.to_string(),
+            pattern: *pattern,
+            scheme: PatternScheme::Static(scheme.parse().expect("a static candidate name")),
             width: *width,
             trials: *trials,
             seed: *seed,
@@ -212,8 +211,8 @@ mod tests {
         let never = CancelToken::never();
         let ctl = controller(8, "rap");
         let cmd = Command::Pattern {
-            pattern: "stride".to_string(),
-            scheme: "adaptive".to_string(),
+            pattern: MatrixPattern::Stride,
+            scheme: PatternScheme::Adaptive,
             width: 8,
             trials: 8,
             seed: 7,

@@ -86,6 +86,24 @@ impl std::fmt::Display for Scheme {
     }
 }
 
+impl std::str::FromStr for Scheme {
+    type Err = String;
+
+    /// Parse a scheme name, case-insensitively (`rap`, `RAP`, `Padded`, …).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "raw" => Ok(Scheme::Raw),
+            "ras" => Ok(Scheme::Ras),
+            "rap" => Ok(Scheme::Rap),
+            "xor" => Ok(Scheme::Xor),
+            "padded" => Ok(Scheme::Padded),
+            other => Err(format!(
+                "unknown scheme '{other}' (expected raw|ras|rap|xor|padded)"
+            )),
+        }
+    }
+}
+
 /// Object-safe interface of a `w × w` matrix address mapping.
 pub trait MatrixMapping {
     /// Matrix dimension / number of banks / warp width `w`.
@@ -373,6 +391,23 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
+
+    #[test]
+    fn scheme_names_parse_case_insensitively_and_round_trip() {
+        for scheme in Scheme::extended() {
+            assert_eq!(scheme.to_string().parse::<Scheme>(), Ok(scheme));
+            assert_eq!(
+                scheme.name().to_ascii_lowercase().parse::<Scheme>(),
+                Ok(scheme)
+            );
+        }
+        assert_eq!("pAdDeD".parse::<Scheme>(), Ok(Scheme::Padded));
+        assert_eq!(
+            "ZZZ".parse::<Scheme>(),
+            Err("unknown scheme 'zzz' (expected raw|ras|rap|xor|padded)".to_string())
+        );
+        assert!("adaptive".parse::<Scheme>().is_err());
+    }
 
     fn assert_bijective(m: &dyn MatrixMapping) {
         let w = m.width() as u32;

@@ -13,21 +13,20 @@
 //! partial estimate instead of either blocking past the deadline or
 //! discarding finished work.
 
-use crate::protocol::{object, Command};
-use rap_access::montecarlo::{blocks_for, matrix_block_stats, matrix_congestion_cancellable};
-use rap_access::{CancelToken, MatrixPattern};
+use crate::protocol::{object, Command, PatternScheme};
+use rap_access::montecarlo::{
+    blocks_for, fixed_layout_congestion, matrix_block_stats, matrix_congestion_cancellable,
+};
+use rap_access::{CancelToken, MatrixPattern, PartialStats};
 use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
-use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds, FallbackPattern};
+use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds};
 use rap_core::modern::build_mapping;
 use rap_core::{diagnostics::render_layout, BankLoads, RowShift, Scheme};
 use rap_resilience::failpoint;
 use rap_stats::{OnlineStats, SeedDomain};
+use rap_synthesize::Mode;
 use rap_transpose::{run_transpose, TransposeKind};
 use serde::{Serialize, Value};
-
-/// Transpose simulates every DMM cycle over a `w × w` matrix; cap the
-/// width so one request cannot monopolise a worker for minutes.
-pub const MAX_TRANSPOSE_WIDTH: usize = 512;
 
 /// What running a command produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,55 +36,15 @@ pub enum Outcome {
     /// A result from a fallback path (partial Monte-Carlo estimate);
     /// carries the payload and a human-readable reason.
     Degraded(Value, String),
-    /// The request was semantically invalid (→ `bad_request`/400).
+    /// The request cannot run against this server's state — adaptation
+    /// off, a tile-width mismatch, a refused force, a prover or search
+    /// rejection (→ `bad_request`/400). Request-only checks happen in
+    /// [`crate::Request::parse`].
     BadRequest(String),
     /// The deadline expired with no usable partial result (→ 504).
     TimedOut(String),
     /// Infrastructure failure, worth a retry (→ 500 after retries).
     Failed(String),
-}
-
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "raw" => Ok(Scheme::Raw),
-        "ras" => Ok(Scheme::Ras),
-        "rap" => Ok(Scheme::Rap),
-        "xor" => Ok(Scheme::Xor),
-        "padded" => Ok(Scheme::Padded),
-        other => Err(format!(
-            "unknown scheme '{other}' (expected raw|ras|rap|xor|padded)"
-        )),
-    }
-}
-
-fn parse_pattern(s: &str) -> Result<MatrixPattern, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "contiguous" => Ok(MatrixPattern::Contiguous),
-        "stride" => Ok(MatrixPattern::Stride),
-        "diagonal" => Ok(MatrixPattern::Diagonal),
-        "random" => Ok(MatrixPattern::Random),
-        other => Err(format!(
-            "unknown pattern '{other}' (expected contiguous|stride|diagonal|random)"
-        )),
-    }
-}
-
-fn parse_kind(s: &str) -> Result<TransposeKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "crsw" => Ok(TransposeKind::Crsw),
-        "srcw" => Ok(TransposeKind::Srcw),
-        "drdw" => Ok(TransposeKind::Drdw),
-        other => Err(format!("unknown kind '{other}' (expected crsw|srcw|drdw)")),
-    }
-}
-
-fn check_xor_width(scheme: Scheme, width: usize) -> Result<(), String> {
-    if scheme == Scheme::Xor && !width.is_power_of_two() {
-        return Err(format!(
-            "scheme 'xor' needs a power-of-two width, got {width}"
-        ));
-    }
-    Ok(())
 }
 
 fn stats_value(stats: &OnlineStats) -> Value {
@@ -126,7 +85,7 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             scheme,
             width,
             seed,
-        } => layout(scheme, *width, *seed),
+        } => layout(*scheme, *width, *seed),
         Command::Congestion { width, addresses } => congestion(*width, addresses),
         Command::Pattern {
             pattern,
@@ -134,13 +93,14 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             width,
             trials,
             seed,
-        } => {
-            if scheme.eq_ignore_ascii_case("adaptive") {
-                pattern_adaptive(pattern, *width, *trials, *seed, token, adapt)
-            } else {
-                pattern_mc(pattern, scheme, *width, *trials, *seed, token)
+        } => match scheme {
+            PatternScheme::Static(scheme) => {
+                pattern_mc(*pattern, *scheme, *width, *trials, *seed, token)
             }
-        }
+            PatternScheme::Adaptive => {
+                pattern_adaptive(*pattern, *width, *trials, *seed, token, adapt)
+            }
+        },
         Command::PatternBlock {
             pattern,
             scheme,
@@ -150,8 +110,8 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             seed,
             domain_state,
         } => pattern_block(
-            pattern,
-            scheme,
+            *pattern,
+            *scheme,
             *width,
             *trials,
             *block,
@@ -165,13 +125,13 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             width,
             latency,
             seed,
-        } => transpose(kind, scheme, *width, *latency, *seed),
+        } => transpose(*kind, *scheme, *width, *latency, *seed),
         Command::Synthesize {
             workload,
             mode,
             width,
             seed,
-        } => synthesize_layout(workload, mode, *width, *seed),
+        } => synthesize_layout(workload, *mode, *width, *seed),
         Command::AdaptForce { target, steps } => adapt_force(adapt, target, *steps),
         // Inline commands never reach the worker pool.
         Command::AdaptStatus
@@ -184,14 +144,7 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
     }
 }
 
-fn layout(scheme_str: &str, width: usize, seed: u64) -> Outcome {
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if let Err(e) = check_xor_width(scheme, width) {
-        return Outcome::BadRequest(e);
-    }
+fn layout(scheme: Scheme, width: usize, seed: u64) -> Outcome {
     let mut rng = SeedDomain::new(seed).rng(0);
     let mapping = build_mapping(scheme, &mut rng, width);
     Outcome::Ok(object(vec![
@@ -227,60 +180,43 @@ fn congestion(width: usize, addresses: &[u64]) -> Outcome {
 }
 
 fn pattern_mc(
-    pattern_str: &str,
-    scheme_str: &str,
+    pattern: MatrixPattern,
+    scheme: Scheme,
     width: usize,
     trials: u64,
     seed: u64,
     token: &CancelToken,
 ) -> Outcome {
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if let Err(e) = check_xor_width(scheme, width) {
-        return Outcome::BadRequest(e);
-    }
     let domain = SeedDomain::new(seed);
     let partial = match scheme {
         Scheme::Raw | Scheme::Ras | Scheme::Rap => {
             matrix_congestion_cancellable(scheme, pattern, width, trials, &domain, token)
         }
-        // Deterministic layouts have no shift table to sample; evaluate
-        // directly, still honouring the cancellation token per trial.
+        // Deterministic layouts draw nothing from the rng: build once.
         Scheme::Xor | Scheme::Padded => {
-            let n_trials = if pattern == MatrixPattern::Random {
-                trials
-            } else {
-                1
-            };
-            let mut stats = OnlineStats::new();
-            let mut done = 0u64;
-            for t in 0..n_trials {
-                if token.is_cancelled() {
-                    break;
-                }
-                let mut rng = domain.rng(t);
-                let mapping = build_mapping(scheme, &mut rng, width);
-                for warp in rap_access::matrix::generate(pattern, width, &mut rng) {
-                    stats.push_u32(rap_access::matrix::warp_congestion(mapping.as_ref(), &warp));
-                }
-                done += 1;
-            }
-            rap_access::PartialStats {
-                stats,
-                completed_blocks: done,
-                total_blocks: n_trials,
-                cancelled: done < n_trials,
-            }
+            let mapping = build_mapping(scheme, &mut domain.rng(0), width);
+            fixed_layout_congestion(mapping.as_ref(), pattern, trials, &domain, token)
         }
     };
+    pattern_outcome(pattern, scheme.name(), width, trials, &partial)
+}
+
+/// The `pattern` payload for an estimate under the layout named
+/// `scheme`: full when it ran to completion, an honest partial
+/// (`Degraded`) when the deadline cut it short, a timeout when nothing
+/// finished.
+fn pattern_outcome(
+    pattern: MatrixPattern,
+    scheme: &str,
+    width: usize,
+    trials: u64,
+    partial: &PartialStats,
+) -> Outcome {
     let data = object(vec![
-        ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
+        (
+            "pattern",
+            Value::String(pattern.name().to_ascii_lowercase()),
+        ),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("trials_requested", Value::U64(trials)),
@@ -313,7 +249,7 @@ fn pattern_mc(
 /// layout is still the *old* one, so in-flight swaps never leak a torn
 /// hybrid into a response.
 fn pattern_adaptive(
-    pattern_str: &str,
+    pattern: MatrixPattern,
     width: usize,
     trials: u64,
     seed: u64,
@@ -327,10 +263,6 @@ fn pattern_adaptive(
                 .to_string(),
         );
     };
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
     if width != ctl.width() {
         return Outcome::BadRequest(format!(
             "scheme 'adaptive' serves the controller's tile width {}, got {width}",
@@ -339,20 +271,10 @@ fn pattern_adaptive(
     }
     let active = ctl.active();
     let outcome = match &active.kind {
-        // The canonical scheme name round-trips through `parse_scheme`,
-        // so the delegated payload is the one a static request produces.
-        CandidateKind::Scheme(scheme) => {
-            pattern_mc(pattern_str, &scheme.to_string(), width, trials, seed, token)
+        CandidateKind::Scheme(scheme) => pattern_mc(pattern, *scheme, width, trials, seed, token),
+        CandidateKind::Table(layout) => {
+            pattern_table(pattern, &active.name, layout, width, trials, seed, token)
         }
-        CandidateKind::Table(layout) => pattern_table(
-            pattern_str,
-            &active.name,
-            layout,
-            width,
-            trials,
-            seed,
-            token,
-        ),
     };
     // Close the loop: the response's own mean congestion is the
     // observation. This may advance the epoch machine (and, under an
@@ -371,9 +293,8 @@ fn pattern_adaptive(
 /// the deterministic-scheme branch of `pattern_mc`, with the table
 /// standing in for the sampled layout. The payload's `scheme` field
 /// carries the candidate name (`synth:…`), the only name the layout has.
-#[allow(clippy::too_many_arguments)]
 fn pattern_table(
-    pattern_str: &str,
+    pattern: MatrixPattern,
     name: &str,
     layout: &[u32],
     width: usize,
@@ -381,56 +302,14 @@ fn pattern_table(
     seed: u64,
     token: &CancelToken,
 ) -> Outcome {
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
     // The table was validated when the candidate was built; a rejection
     // here is an internal invariant violation, not a client error.
     let mapping = match RowShift::ras_from(width, layout.to_vec()) {
         Ok(m) => m,
         Err(e) => return Outcome::Failed(format!("active synthesized table rejected: {e}")),
     };
-    let domain = SeedDomain::new(seed);
-    let n_trials = if pattern == MatrixPattern::Random {
-        trials
-    } else {
-        1
-    };
-    let mut stats = OnlineStats::new();
-    let mut done = 0u64;
-    for t in 0..n_trials {
-        if token.is_cancelled() {
-            break;
-        }
-        let mut rng = domain.rng(t);
-        for warp in rap_access::matrix::generate(pattern, width, &mut rng) {
-            stats.push_u32(rap_access::matrix::warp_congestion(&mapping, &warp));
-        }
-        done += 1;
-    }
-    let cancelled = done < n_trials;
-    let data = object(vec![
-        ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
-        ("scheme", Value::String(name.to_string())),
-        ("width", Value::U64(width as u64)),
-        ("trials_requested", Value::U64(trials)),
-        ("stats", stats_value(&stats)),
-        ("completed_blocks", Value::U64(done)),
-        ("total_blocks", Value::U64(n_trials)),
-        ("cancelled", Value::Bool(cancelled)),
-        ("source", Value::String("monte-carlo".into())),
-    ]);
-    if !cancelled {
-        return Outcome::Ok(data);
-    }
-    if done == 0 {
-        return Outcome::TimedOut("deadline expired before any Monte-Carlo block completed".into());
-    }
-    Outcome::Degraded(
-        data,
-        format!("deadline expired after {done}/{n_trials} blocks; partial estimate"),
-    )
+    let partial = fixed_layout_congestion(&mapping, pattern, trials, &SeedDomain::new(seed), token);
+    pattern_outcome(pattern, name, width, trials, &partial)
 }
 
 fn traffic_class(pattern: MatrixPattern) -> TrafficClass {
@@ -494,39 +373,26 @@ fn adapt_force(adapt: Option<&AdaptiveController>, target: &str, steps: Option<u
 ///
 /// No cancellation token: a block is 32 trials, the unit the deadline
 /// machinery itself is built from — it either completes quickly or the
-/// request deadline fails the whole job. Deterministic schemes
-/// (xor/padded) sample nothing per trial and have no block
-/// decomposition; asking for one is a contextual bad request.
-#[allow(clippy::too_many_arguments)]
+/// request deadline fails the whole job. `scheme` is a sampled scheme:
+/// the protocol refuses a block of a deterministic one.
 fn pattern_block(
-    pattern_str: &str,
-    scheme_str: &str,
+    pattern: MatrixPattern,
+    scheme: Scheme,
     width: usize,
     trials: u64,
     block: u64,
     seed: u64,
     domain_state: Option<u64>,
 ) -> Outcome {
-    let pattern = match parse_pattern(pattern_str) {
-        Ok(p) => p,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if !matches!(scheme, Scheme::Raw | Scheme::Ras | Scheme::Rap) {
-        return Outcome::BadRequest(format!(
-            "scheme '{scheme}' is deterministic and has no Monte-Carlo block \
-             decomposition; use 'pattern'"
-        ));
-    }
     // A raw domain state (from `SeedDomain::seed`) transports a *derived*
     // domain losslessly; the mixing `seed` form cannot express one.
     let domain = domain_state.map_or_else(|| SeedDomain::new(seed), SeedDomain::from_state);
     let stats = matrix_block_stats(scheme, pattern, width, trials, block, &domain);
     Outcome::Ok(object(vec![
-        ("pattern", Value::String(pattern_str.to_ascii_lowercase())),
+        (
+            "pattern",
+            Value::String(pattern.name().to_ascii_lowercase()),
+        ),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("trials", Value::U64(trials)),
@@ -554,24 +420,13 @@ fn analyze(width: usize) -> Outcome {
     ]))
 }
 
-fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed: u64) -> Outcome {
-    let kind = match parse_kind(kind_str) {
-        Ok(k) => k,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    let scheme = match parse_scheme(scheme_str) {
-        Ok(s) => s,
-        Err(e) => return Outcome::BadRequest(e),
-    };
-    if let Err(e) = check_xor_width(scheme, width) {
-        return Outcome::BadRequest(e);
-    }
-    if width > MAX_TRANSPOSE_WIDTH {
-        return Outcome::BadRequest(format!(
-            "transpose simulates every DMM cycle; width is capped at \
-             {MAX_TRANSPOSE_WIDTH}, got {width}"
-        ));
-    }
+fn transpose(
+    kind: TransposeKind,
+    scheme: Scheme,
+    width: usize,
+    latency: u64,
+    seed: u64,
+) -> Outcome {
     let mut rng = SeedDomain::new(seed).rng(0);
     let mapping = build_mapping(scheme, &mut rng, width);
     let data: Vec<f64> = (0..width * width).map(|x| x as f64).collect();
@@ -588,11 +443,7 @@ fn transpose(kind_str: &str, scheme_str: &str, width: usize, latency: u64, seed:
     ]))
 }
 
-fn synthesize_layout(workload_str: &str, mode_str: &str, width: usize, seed: u64) -> Outcome {
-    let mode = match rap_synthesize::Mode::parse(mode_str) {
-        Ok(m) => m,
-        Err(e) => return Outcome::BadRequest(e),
-    };
+fn synthesize_layout(workload_str: &str, mode: Mode, width: usize, seed: u64) -> Outcome {
     let workload = match rap_synthesize::parse_workload(workload_str, width) {
         Ok(w) => w,
         Err(e) => return Outcome::BadRequest(e),
@@ -688,19 +539,19 @@ pub fn degraded_synthesize(workload_str: &str, width: usize) -> Result<Value, St
 /// the fallback must stay available precisely when handlers are failing.
 ///
 /// # Errors
-/// A `bad_request`-worthy message for unknown pattern/scheme names or a
-/// width the prover rejects.
+/// A `bad_request`-worthy message for a scheme/width pair the prover
+/// rejects (which [`crate::Request::parse`] never lets through).
 pub fn degraded_pattern(
-    pattern_str: &str,
-    scheme_str: &str,
+    pattern: MatrixPattern,
+    scheme: Scheme,
     width: usize,
 ) -> Result<Value, String> {
-    let pattern = FallbackPattern::parse(pattern_str)?;
-    let scheme = parse_scheme(scheme_str)?;
-    check_xor_width(scheme, width)?;
     let analysis = fallback_bounds(scheme, pattern, width).map_err(|e| e.to_string())?;
     Ok(object(vec![
-        ("pattern", Value::String(pattern.name().into())),
+        (
+            "pattern",
+            Value::String(pattern.name().to_ascii_lowercase()),
+        ),
         ("scheme", Value::String(scheme.to_string())),
         ("width", Value::U64(width as u64)),
         ("lo", Value::U64(u64::from(analysis.lo))),
@@ -713,6 +564,7 @@ pub fn degraded_pattern(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_lock;
     use std::time::Instant;
 
     fn never() -> CancelToken {
@@ -728,10 +580,11 @@ mod tests {
 
     #[test]
     fn layout_renders_for_every_scheme() {
-        for scheme in ["raw", "ras", "rap", "xor", "padded"] {
+        let _g = test_lock::handlers();
+        for scheme in Scheme::extended() {
             let out = execute(
                 &Command::Layout {
-                    scheme: scheme.into(),
+                    scheme,
                     width: 8,
                     seed: 1,
                 },
@@ -751,43 +604,8 @@ mod tests {
     }
 
     #[test]
-    fn semantic_errors_are_bad_requests() {
-        let bad_scheme = execute(
-            &Command::Layout {
-                scheme: "zzz".into(),
-                width: 8,
-                seed: 1,
-            },
-            &never(),
-            None,
-        );
-        assert!(matches!(bad_scheme, Outcome::BadRequest(ref e) if e.contains("zzz")));
-        let xor_np2 = execute(
-            &Command::Layout {
-                scheme: "xor".into(),
-                width: 12,
-                seed: 1,
-            },
-            &never(),
-            None,
-        );
-        assert!(matches!(xor_np2, Outcome::BadRequest(ref e) if e.contains("power-of-two")));
-        let big_transpose = execute(
-            &Command::Transpose {
-                kind: "crsw".into(),
-                scheme: "rap".into(),
-                width: MAX_TRANSPOSE_WIDTH + 1,
-                latency: 8,
-                seed: 1,
-            },
-            &never(),
-            None,
-        );
-        assert!(matches!(big_transpose, Outcome::BadRequest(ref e) if e.contains("capped")));
-    }
-
-    #[test]
     fn congestion_counts_banks() {
+        let _g = test_lock::handlers();
         let out = execute(
             &Command::Congestion {
                 width: 4,
@@ -807,10 +625,11 @@ mod tests {
 
     #[test]
     fn pattern_matches_the_plain_engine_when_uncancelled() {
+        let _g = test_lock::handlers();
         let out = execute(
             &Command::Pattern {
-                pattern: "stride".into(),
-                scheme: "rap".into(),
+                pattern: MatrixPattern::Stride,
+                scheme: PatternScheme::Static(Scheme::Rap),
                 width: 16,
                 trials: 64,
                 seed: 7,
@@ -830,11 +649,12 @@ mod tests {
 
     #[test]
     fn pattern_expired_deadline_times_out_or_degrades() {
+        let _g = test_lock::handlers();
         let token = CancelToken::with_deadline(Instant::now());
         let out = execute(
             &Command::Pattern {
-                pattern: "random".into(),
-                scheme: "ras".into(),
+                pattern: MatrixPattern::Random,
+                scheme: PatternScheme::Static(Scheme::Ras),
                 width: 32,
                 trials: 10_000,
                 seed: 7,
@@ -853,10 +673,11 @@ mod tests {
 
     #[test]
     fn deterministic_schemes_answer_pattern_queries() {
+        let _g = test_lock::handlers();
         let out = execute(
             &Command::Pattern {
-                pattern: "stride".into(),
-                scheme: "padded".into(),
+                pattern: MatrixPattern::Stride,
+                scheme: PatternScheme::Static(Scheme::Padded),
                 width: 8,
                 trials: 4,
                 seed: 7,
@@ -874,13 +695,14 @@ mod tests {
 
     #[test]
     fn pattern_block_merge_matches_the_plain_engine_bit_for_bit() {
+        let _g = test_lock::handlers();
         let trials = 77; // 3 blocks, ragged tail
         let mut merged = OnlineStats::new();
         for block in 0..rap_access::montecarlo::blocks_for(trials) {
             let out = execute(
                 &Command::PatternBlock {
-                    pattern: "random".into(),
-                    scheme: "rap".into(),
+                    pattern: MatrixPattern::Random,
+                    scheme: Scheme::Rap,
                     width: 16,
                     trials,
                     block,
@@ -922,6 +744,7 @@ mod tests {
 
     #[test]
     fn pattern_block_domain_state_ships_derived_domains_bit_exactly() {
+        let _g = test_lock::handlers();
         // A Table II-style derived cell domain, unreachable through the
         // mixing `seed` field.
         let cell = SeedDomain::new(2014)
@@ -931,8 +754,8 @@ mod tests {
             .child_idx(16);
         let out = execute(
             &Command::PatternBlock {
-                pattern: "random".into(),
-                scheme: "rap".into(),
+                pattern: MatrixPattern::Random,
+                scheme: Scheme::Rap,
                 width: 16,
                 trials: 32,
                 block: 0,
@@ -959,28 +782,8 @@ mod tests {
     }
 
     #[test]
-    fn pattern_block_rejects_deterministic_schemes() {
-        let out = execute(
-            &Command::PatternBlock {
-                pattern: "stride".into(),
-                scheme: "padded".into(),
-                width: 8,
-                trials: 32,
-                block: 0,
-                seed: 7,
-                domain_state: None,
-            },
-            &never(),
-            None,
-        );
-        match out {
-            Outcome::BadRequest(msg) => assert!(msg.contains("deterministic"), "{msg}"),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn analyze_certifies_both_theorems() {
+        let _g = test_lock::handlers();
         let out = execute(&Command::Analyze { width: 8 }, &never(), None);
         match out {
             Outcome::Ok(data) => assert_eq!(get(&data, "proven"), &Value::Bool(true)),
@@ -990,10 +793,11 @@ mod tests {
 
     #[test]
     fn transpose_reports_cycles_and_verifies() {
+        let _g = test_lock::handlers();
         let out = execute(
             &Command::Transpose {
-                kind: "crsw".into(),
-                scheme: "rap".into(),
+                kind: TransposeKind::Crsw,
+                scheme: Scheme::Rap,
                 width: 8,
                 latency: 2,
                 seed: 1,
@@ -1012,10 +816,11 @@ mod tests {
 
     #[test]
     fn synthesize_returns_a_checked_certificate() {
+        let _g = test_lock::handlers();
         let out = execute(
             &Command::Synthesize {
                 workload: "column:0;contiguous:0".into(),
-                mode: "sigma".into(),
+                mode: Mode::Sigma,
                 width: 4,
                 seed: 2014,
             },
@@ -1039,21 +844,13 @@ mod tests {
 
     #[test]
     fn synthesize_semantic_errors_are_bad_requests() {
-        let bad_mode = execute(
-            &Command::Synthesize {
-                workload: "column:0".into(),
-                mode: "zigzag".into(),
-                width: 4,
-                seed: 1,
-            },
-            &never(),
-            None,
-        );
-        assert!(matches!(bad_mode, Outcome::BadRequest(ref e) if e.contains("zigzag")));
+        let _g = test_lock::handlers();
+        // An unknown mode is a parse error now (see the protocol tests);
+        // the plan grammar is checked here, at search time.
         let bad_plan = execute(
             &Command::Synthesize {
                 workload: "column:0;bogus:9".into(),
-                mode: "sigma".into(),
+                mode: Mode::Sigma,
                 width: 4,
                 seed: 1,
             },
@@ -1084,9 +881,7 @@ mod tests {
     #[test]
     fn degraded_synthesize_ignores_handler_failpoints() {
         use rap_resilience::{FailPlan, Fault, HitSchedule};
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _l = test_lock::fail_plans();
         let guard = rap_resilience::install(FailPlan::new(1).rule(
             "serve.handler",
             Fault::Panic,
@@ -1098,15 +893,17 @@ mod tests {
 
     #[test]
     fn degraded_pattern_returns_certified_bounds() {
-        let data = degraded_pattern("stride", "rap", 16).unwrap();
+        // Unknown names and xor at a non-power-of-two width never get
+        // this far: `Request::parse` rejects them (see the protocol
+        // tests).
+        let data = degraded_pattern(MatrixPattern::Stride, Scheme::Rap, 16).unwrap();
+        assert_eq!(get(&data, "pattern"), &Value::String("stride".into()));
         assert_eq!(get(&data, "lo"), &Value::U64(1));
         assert_eq!(get(&data, "hi"), &Value::U64(1), "Theorem 2 bound");
-        let raw = degraded_pattern("stride", "raw", 16).unwrap();
+        let raw = degraded_pattern(MatrixPattern::Stride, Scheme::Raw, 16).unwrap();
         assert_eq!(get(&raw, "hi"), &Value::U64(16));
-        assert!(degraded_pattern("zigzag", "rap", 16).is_err());
-        assert!(degraded_pattern("stride", "xor", 12)
-            .unwrap_err()
-            .contains("power-of-two"));
+        let random = degraded_pattern(MatrixPattern::Random, Scheme::Xor, 16).unwrap();
+        assert_eq!(get(&random, "hi"), &Value::U64(16), "trivial envelope");
     }
 
     fn controller(width: usize, initial: &str) -> rap_adapt::AdaptiveController {
@@ -1121,17 +918,18 @@ mod tests {
 
     #[test]
     fn adaptive_pattern_is_bit_identical_to_the_static_path() {
+        let _g = test_lock::handlers();
         let ctl = controller(16, "rap");
-        for pattern in ["contiguous", "stride", "diagonal", "random"] {
-            let cmd = |scheme: &str| Command::Pattern {
-                pattern: pattern.into(),
-                scheme: scheme.into(),
+        for pattern in MatrixPattern::table2() {
+            let cmd = |scheme| Command::Pattern {
+                pattern,
+                scheme,
                 width: 16,
                 trials: 64,
                 seed: 7,
             };
-            let adaptive = execute(&cmd("adaptive"), &never(), Some(&ctl));
-            let static_run = execute(&cmd("rap"), &never(), None);
+            let adaptive = execute(&cmd(PatternScheme::Adaptive), &never(), Some(&ctl));
+            let static_run = execute(&cmd(PatternScheme::Static(Scheme::Rap)), &never(), None);
             assert_eq!(adaptive, static_run, "{pattern}: payloads must match");
         }
         // The controller really observed the served traffic.
@@ -1142,9 +940,10 @@ mod tests {
 
     #[test]
     fn adaptive_pattern_needs_a_controller_and_the_right_width() {
+        let _g = test_lock::handlers();
         let cmd = Command::Pattern {
-            pattern: "stride".into(),
-            scheme: "adaptive".into(),
+            pattern: MatrixPattern::Stride,
+            scheme: PatternScheme::Adaptive,
             width: 16,
             trials: 8,
             seed: 1,
@@ -1161,6 +960,7 @@ mod tests {
 
     #[test]
     fn adapt_force_runs_the_epoch_protocol() {
+        let _g = test_lock::handlers();
         let ctl = controller(16, "rap");
         let out = execute(
             &Command::AdaptForce {
@@ -1181,8 +981,8 @@ mod tests {
         // After the commit, the adaptive path serves the new layout.
         let adaptive = execute(
             &Command::Pattern {
-                pattern: "stride".into(),
-                scheme: "adaptive".into(),
+                pattern: MatrixPattern::Stride,
+                scheme: PatternScheme::Adaptive,
                 width: 16,
                 trials: 8,
                 seed: 7,
@@ -1192,8 +992,8 @@ mod tests {
         );
         let fresh = execute(
             &Command::Pattern {
-                pattern: "stride".into(),
-                scheme: "padded".into(),
+                pattern: MatrixPattern::Stride,
+                scheme: PatternScheme::Static(Scheme::Padded),
                 width: 16,
                 trials: 8,
                 seed: 7,
@@ -1228,6 +1028,7 @@ mod tests {
 
     #[test]
     fn adaptive_serves_synthesized_tables_deterministically() {
+        let _g = test_lock::handlers();
         let ctl = rap_adapt::AdaptiveController::new(rap_adapt::AdaptConfig {
             width: 8,
             initial: "raw".to_string(),
@@ -1255,8 +1056,8 @@ mod tests {
         let run = |seed: u64| {
             execute(
                 &Command::Pattern {
-                    pattern: "contiguous".into(),
-                    scheme: "adaptive".into(),
+                    pattern: MatrixPattern::Contiguous,
+                    scheme: PatternScheme::Adaptive,
                     width: 8,
                     trials: 4,
                     seed,
@@ -1278,15 +1079,10 @@ mod tests {
         }
     }
 
-    /// The failpoint registry is process-global; serialize chaos tests.
-    static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn handler_failpoint_injects_all_fault_kinds() {
         use rap_resilience::{FailPlan, Fault, HitSchedule};
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _l = test_lock::fail_plans();
         let cmd = Command::Analyze { width: 8 };
 
         let guard = rap_resilience::install(FailPlan::new(1).rule(
@@ -1316,7 +1112,7 @@ mod tests {
             Fault::Panic,
             HitSchedule::Always,
         ));
-        assert!(degraded_pattern("stride", "rap", 16).is_ok());
+        assert!(degraded_pattern(MatrixPattern::Stride, Scheme::Rap, 16).is_ok());
         drop(guard);
     }
 }

@@ -19,12 +19,13 @@
 //! * [`handler`] — command dispatch into the workspace crates, with the
 //!   `serve.handler` failpoint at its entry so the chaos suite can
 //!   inject faults exactly where real bugs would land. When the breaker
-//!   is open, `pattern` queries degrade to the static analyzer's
-//!   certified `[lo, hi]` congestion bounds and `synthesize` queries to
+//!   is open, static-scheme `pattern` queries degrade to the static
+//!   analyzer's certified `[lo, hi]` congestion bounds and `synthesize` queries to
 //!   the best known static scheme's certified bound (`degraded:true`)
 //!   rather than erroring;
-//! * [`protocol`] — the wire types: hand-parsed requests with contextual
-//!   validation errors, responses with stable error kinds and codes;
+//! * [`protocol`] — the wire types: hand-parsed requests whose names
+//!   become typed fields at parse time, with contextual validation
+//!   errors; responses with stable error kinds and codes;
 //! * [`metrics`] — counters whose conservation law
 //!   (`received == ok + degraded + errors`) is the chaos suite's
 //!   zero-lost-requests proof;
@@ -60,6 +61,28 @@ mod transport;
 
 pub use client::Client;
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use protocol::{Command, ErrorKind, Request, Response, WireError, MAX_WIDTH};
+pub use protocol::{Command, ErrorKind, PatternScheme, Request, Response, WireError, MAX_WIDTH};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{AdaptOptions, DrainReport, Server, ServerConfig, ServerHandle};
+
+/// Fail plans are process-global, so the unit tests share one lock:
+/// a test that installs a plan holds it exclusively, and every test
+/// that runs a handler — directly or through a server — holds it
+/// shared, so no handler ever fires a failpoint planted for another
+/// test.
+#[cfg(test)]
+mod test_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static FAIL_PLANS: RwLock<()> = RwLock::new(());
+
+    /// Held by tests that run handlers.
+    pub(crate) fn handlers() -> RwLockReadGuard<'static, ()> {
+        FAIL_PLANS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Held by tests that install a fail plan.
+    pub(crate) fn fail_plans() -> RwLockWriteGuard<'static, ()> {
+        FAIL_PLANS.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}

@@ -5,6 +5,13 @@
 //! (`"pattern: --width must be 1..=4096, got 0"`) instead of a generic
 //! shape error, and optional fields can simply be omitted by clients.
 //!
+//! Parsing is also where names become types: schemes, patterns,
+//! transpose kinds and synthesis modes are parsed by the types that own
+//! them, and every check that depends only on the request (xor needs a
+//! power-of-two width, `pattern_block` needs a sampled scheme, the
+//! transpose width cap) runs here. A [`Command`] that parses is valid;
+//! the handler only rejects what depends on server state.
+//!
 //! Every request receives **exactly one** response line. A response is
 //! either `ok:true` with a `data` object (possibly `degraded:true` when
 //! served from the static analyzer instead of the Monte-Carlo engine),
@@ -13,6 +20,10 @@
 //! deadline is `timeout`/504, a panicked handler that exhausted its
 //! retries is `panic`/500. Nothing is ever silently dropped.
 
+use rap_access::MatrixPattern;
+use rap_core::Scheme;
+use rap_synthesize::Mode;
+use rap_transpose::TransposeKind;
 use serde::{Deserialize, Serialize, Value};
 
 /// The widest matrix any query may name. Bounds both memory (a layout
@@ -25,18 +36,31 @@ pub const MAX_WIDTH: usize = 4096;
 /// the per-warp commands (mirrors the transpose cap rationale).
 pub const MAX_SYNTHESIZE_WIDTH: usize = 512;
 
+/// Transpose simulates every DMM cycle over a `w × w` matrix; cap the
+/// width so one request cannot monopolise a worker for minutes.
+pub const MAX_TRANSPOSE_WIDTH: usize = 512;
+
 /// Longest accepted `workload` spec string, in bytes: a plan costs a
 /// dozen-odd bytes, so this bounds the plan count without a separate
 /// knob.
 pub const MAX_WORKLOAD_SPEC: usize = 4096;
+
+/// The layout a `pattern` request is evaluated under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PatternScheme {
+    /// A named scheme (raw|ras|rap|xor|padded).
+    Static(Scheme),
+    /// `"adaptive"`: the adaptive controller's committed layout.
+    Adaptive,
+}
 
 /// What a client asked for.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Render a scheme's bank layout.
     Layout {
-        /// Scheme name (raw|ras|rap|xor|padded).
-        scheme: String,
+        /// The scheme (xor only at power-of-two widths).
+        scheme: Scheme,
         /// Matrix width.
         width: usize,
         /// Mapping seed.
@@ -52,10 +76,10 @@ pub enum Command {
     /// Monte-Carlo expected congestion of a pattern family — the
     /// expensive path; sheds to analyzer bounds when the breaker is open.
     Pattern {
-        /// Pattern family name.
-        pattern: String,
-        /// Scheme name.
-        scheme: String,
+        /// Table II pattern family.
+        pattern: MatrixPattern,
+        /// The layout to evaluate under.
+        scheme: PatternScheme,
         /// Matrix width.
         width: usize,
         /// Trial count.
@@ -69,10 +93,10 @@ pub enum Command {
     /// blocks in index order reproduces the single-process result bit
     /// for bit.
     PatternBlock {
-        /// Pattern family name.
-        pattern: String,
-        /// Scheme name (must be a sampled scheme: raw|ras|rap).
-        scheme: String,
+        /// Table II pattern family.
+        pattern: MatrixPattern,
+        /// A sampled scheme: raw|ras|rap.
+        scheme: Scheme,
         /// Matrix width.
         width: usize,
         /// Total trials of the decomposition the block indexes into.
@@ -95,11 +119,11 @@ pub enum Command {
     },
     /// DMM transpose timing run.
     Transpose {
-        /// Algorithm kind (crsw|srcw|drdw).
-        kind: String,
-        /// Scheme name.
-        scheme: String,
-        /// Matrix width.
+        /// Algorithm kind.
+        kind: TransposeKind,
+        /// The scheme (xor only at power-of-two widths).
+        scheme: Scheme,
+        /// Matrix width, at most [`MAX_TRANSPOSE_WIDTH`].
         width: usize,
         /// DMM latency parameter.
         latency: u64,
@@ -114,8 +138,8 @@ pub enum Command {
     Synthesize {
         /// `;`-separated plan specs (the `rap synthesize` grammar).
         workload: String,
-        /// Layout family: `sigma` or `table`.
-        mode: String,
+        /// Layout family.
+        mode: Mode,
         /// Matrix width.
         width: usize,
         /// Search seed (annealing path only).
@@ -218,6 +242,27 @@ fn width_field(pairs: &[(String, Value)], default: usize) -> Result<usize, Strin
     Ok(w)
 }
 
+fn seed_field(pairs: &[(String, Value)]) -> Result<u64, String> {
+    Ok(opt_u64(pairs, "seed")?.unwrap_or(2014))
+}
+
+fn trials_field(pairs: &[(String, Value)]) -> Result<u64, String> {
+    Ok(opt_u64(pairs, "trials")?
+        .unwrap_or(1000)
+        .clamp(1, 1_000_000))
+}
+
+/// A scheme that can lay out a `width`-wide matrix.
+fn scheme_at(name: &str, width: usize) -> Result<Scheme, String> {
+    let scheme: Scheme = name.parse()?;
+    if scheme == Scheme::Xor && !width.is_power_of_two() {
+        return Err(format!(
+            "scheme 'xor' needs a power-of-two width, got {width}"
+        ));
+    }
+    Ok(scheme)
+}
+
 impl Request {
     /// Parse one request line.
     ///
@@ -233,12 +278,18 @@ impl Request {
         let id = opt_u64(pairs, "id")?;
         let timeout_ms = opt_u64(pairs, "timeout_ms")?;
         let cmd_name = required_string(pairs, "cmd")?;
+        // Each arm reads its fields first and parses names after, so a
+        // malformed field is reported before an unknown name.
         let cmd = match cmd_name.as_str() {
-            "layout" => Command::Layout {
-                scheme: required_string(pairs, "scheme")?,
-                width: width_field(pairs, 8)?,
-                seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
-            },
+            "layout" => {
+                let scheme = required_string(pairs, "scheme")?;
+                let width = width_field(pairs, 8)?;
+                Command::Layout {
+                    seed: seed_field(pairs)?,
+                    scheme: scheme_at(&scheme, width)?,
+                    width,
+                }
+            }
             "congestion" => {
                 let addresses = match lookup(pairs, "addresses") {
                     Some(v) => Vec::<u64>::from_value(v).map_err(|_| {
@@ -260,19 +311,25 @@ impl Request {
                     addresses,
                 }
             }
-            "pattern" => Command::Pattern {
-                pattern: required_string(pairs, "pattern")?,
-                scheme: required_string(pairs, "scheme")?,
-                width: width_field(pairs, 32)?,
-                trials: opt_u64(pairs, "trials")?
-                    .unwrap_or(1000)
-                    .clamp(1, 1_000_000),
-                seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
-            },
+            "pattern" => {
+                let pattern = required_string(pairs, "pattern")?;
+                let scheme = required_string(pairs, "scheme")?;
+                let width = width_field(pairs, 32)?;
+                let (trials, seed) = (trials_field(pairs)?, seed_field(pairs)?);
+                Command::Pattern {
+                    pattern: pattern.parse()?,
+                    scheme: if scheme.eq_ignore_ascii_case("adaptive") {
+                        PatternScheme::Adaptive
+                    } else {
+                        PatternScheme::Static(scheme_at(&scheme, width)?)
+                    },
+                    width,
+                    trials,
+                    seed,
+                }
+            }
             "pattern_block" => {
-                let trials = opt_u64(pairs, "trials")?
-                    .unwrap_or(1000)
-                    .clamp(1, 1_000_000);
+                let trials = trials_field(pairs)?;
                 let block = opt_u64(pairs, "block")?
                     .ok_or_else(|| "missing required field 'block'".to_string())?;
                 let blocks = rap_access::montecarlo::blocks_for(trials);
@@ -281,26 +338,53 @@ impl Request {
                         "field 'block' must be 0..{blocks} for {trials} trials, got {block}"
                     ));
                 }
+                let pattern = required_string(pairs, "pattern")?;
+                let scheme = required_string(pairs, "scheme")?;
+                let width = width_field(pairs, 32)?;
+                let (seed, domain_state) = (seed_field(pairs)?, opt_u64(pairs, "domain_state")?);
+                let pattern = pattern.parse()?;
+                let scheme: Scheme = scheme.parse()?;
+                if !matches!(scheme, Scheme::Raw | Scheme::Ras | Scheme::Rap) {
+                    return Err(format!(
+                        "scheme '{scheme}' is deterministic and has no Monte-Carlo block \
+                         decomposition; use 'pattern'"
+                    ));
+                }
                 Command::PatternBlock {
-                    pattern: required_string(pairs, "pattern")?,
-                    scheme: required_string(pairs, "scheme")?,
-                    width: width_field(pairs, 32)?,
+                    pattern,
+                    scheme,
+                    width,
                     trials,
                     block,
-                    seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
-                    domain_state: opt_u64(pairs, "domain_state")?,
+                    seed,
+                    domain_state,
                 }
             }
             "analyze" => Command::Analyze {
                 width: width_field(pairs, 32)?,
             },
-            "transpose" => Command::Transpose {
-                kind: required_string(pairs, "kind")?,
-                scheme: required_string(pairs, "scheme")?,
-                width: width_field(pairs, 32)?,
-                latency: opt_u64(pairs, "latency")?.unwrap_or(8).max(1),
-                seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
-            },
+            "transpose" => {
+                let kind = required_string(pairs, "kind")?;
+                let scheme = required_string(pairs, "scheme")?;
+                let width = width_field(pairs, 32)?;
+                let latency = opt_u64(pairs, "latency")?.unwrap_or(8).max(1);
+                let seed = seed_field(pairs)?;
+                let kind = kind.parse()?;
+                let scheme = scheme_at(&scheme, width)?;
+                if width > MAX_TRANSPOSE_WIDTH {
+                    return Err(format!(
+                        "transpose simulates every DMM cycle; width is capped at \
+                         {MAX_TRANSPOSE_WIDTH}, got {width}"
+                    ));
+                }
+                Command::Transpose {
+                    kind,
+                    scheme,
+                    width,
+                    latency,
+                    seed,
+                }
+            }
             "synthesize" => {
                 let workload = required_string(pairs, "workload")?;
                 if workload.len() > MAX_WORKLOAD_SPEC {
@@ -310,11 +394,9 @@ impl Request {
                     ));
                 }
                 let mode = opt_string(pairs, "mode")?.unwrap_or_else(|| "sigma".to_string());
-                if mode != "sigma" && mode != "table" {
-                    return Err(format!(
-                        "field 'mode' must be 'sigma' or 'table', got '{mode}'"
-                    ));
-                }
+                let mode = Mode::parse(&mode).map_err(|_| {
+                    format!("field 'mode' must be 'sigma' or 'table', got '{mode}'")
+                })?;
                 let width = width_field(pairs, 8)?;
                 if width > MAX_SYNTHESIZE_WIDTH {
                     return Err(format!(
@@ -326,7 +408,7 @@ impl Request {
                     workload,
                     mode,
                     width,
-                    seed: opt_u64(pairs, "seed")?.unwrap_or(2014),
+                    seed: seed_field(pairs)?,
                 }
             }
             "adapt_status" => Command::AdaptStatus,
@@ -535,7 +617,8 @@ mod tests {
                 trials,
                 seed,
             } => {
-                assert_eq!((pattern.as_str(), scheme.as_str()), ("stride", "rap"));
+                assert_eq!(pattern, MatrixPattern::Stride);
+                assert_eq!(scheme, PatternScheme::Static(Scheme::Rap));
                 assert_eq!((width, trials, seed), (16, 50, 3));
             }
             other => panic!("wrong cmd: {other:?}"),
@@ -598,6 +681,129 @@ mod tests {
     }
 
     #[test]
+    fn names_parse_case_insensitively_into_types() {
+        let r = Request::parse(
+            r#"{"cmd":"pattern","pattern":"Contiguous","scheme":"ADAPTIVE","width":8}"#,
+        )
+        .unwrap();
+        match r.cmd {
+            Command::Pattern {
+                pattern, scheme, ..
+            } => {
+                assert_eq!(pattern, MatrixPattern::Contiguous);
+                assert_eq!(scheme, PatternScheme::Adaptive);
+            }
+            other => panic!("wrong cmd: {other:?}"),
+        }
+        let r = Request::parse(r#"{"cmd":"transpose","kind":"Drdw","scheme":"Padded","width":12}"#)
+            .unwrap();
+        assert_eq!(
+            r.cmd,
+            Command::Transpose {
+                kind: TransposeKind::Drdw,
+                scheme: Scheme::Padded,
+                width: 12,
+                latency: 8,
+                seed: 2014,
+            }
+        );
+        let r = Request::parse(r#"{"cmd":"layout","scheme":"XOR","width":16}"#).unwrap();
+        assert_eq!(
+            r.cmd,
+            Command::Layout {
+                scheme: Scheme::Xor,
+                width: 16,
+                seed: 2014,
+            }
+        );
+    }
+
+    /// Every check that depends only on the request rejects at parse
+    /// time with the message the handler used to return.
+    #[test]
+    fn request_only_checks_reject_at_parse_time() {
+        for (line, message) in [
+            (
+                r#"{"cmd":"layout","scheme":"zzz","width":8}"#,
+                "unknown scheme 'zzz' (expected raw|ras|rap|xor|padded)",
+            ),
+            (
+                r#"{"cmd":"layout","scheme":"xor","width":12}"#,
+                "scheme 'xor' needs a power-of-two width, got 12",
+            ),
+            (
+                r#"{"cmd":"layout","scheme":"adaptive"}"#,
+                "unknown scheme 'adaptive' (expected raw|ras|rap|xor|padded)",
+            ),
+            (
+                r#"{"cmd":"pattern","pattern":"zigzag","scheme":"rap","width":16}"#,
+                "unknown pattern 'zigzag' (expected contiguous|stride|diagonal|random)",
+            ),
+            (
+                r#"{"cmd":"pattern","pattern":"zigzag","scheme":"adaptive"}"#,
+                "unknown pattern 'zigzag' (expected contiguous|stride|diagonal|random)",
+            ),
+            (
+                r#"{"cmd":"pattern","pattern":"broadcast","scheme":"rap"}"#,
+                "unknown pattern 'broadcast' (expected contiguous|stride|diagonal|random)",
+            ),
+            (
+                r#"{"cmd":"pattern","pattern":"Stride","scheme":"BOGUS"}"#,
+                "unknown scheme 'bogus' (expected raw|ras|rap|xor|padded)",
+            ),
+            (
+                r#"{"cmd":"pattern","pattern":"stride","scheme":"xor","width":12}"#,
+                "scheme 'xor' needs a power-of-two width, got 12",
+            ),
+            (
+                r#"{"cmd":"pattern_block","pattern":"zigzag","scheme":"rap","trials":32,"block":0}"#,
+                "unknown pattern 'zigzag' (expected contiguous|stride|diagonal|random)",
+            ),
+            (
+                r#"{"cmd":"pattern_block","pattern":"stride","scheme":"adaptive","trials":32,"block":0}"#,
+                "unknown scheme 'adaptive' (expected raw|ras|rap|xor|padded)",
+            ),
+            (
+                r#"{"cmd":"pattern_block","pattern":"stride","scheme":"padded","trials":32,"block":0}"#,
+                "scheme 'Padded' is deterministic and has no Monte-Carlo block \
+                 decomposition; use 'pattern'",
+            ),
+            (
+                r#"{"cmd":"transpose","kind":"zzz","scheme":"raw"}"#,
+                "unknown kind 'zzz' (expected crsw|srcw|drdw)",
+            ),
+            (
+                r#"{"cmd":"transpose","kind":"crsw","scheme":"zzz"}"#,
+                "unknown scheme 'zzz' (expected raw|ras|rap|xor|padded)",
+            ),
+            (
+                r#"{"cmd":"transpose","kind":"crsw","scheme":"xor","width":24}"#,
+                "scheme 'xor' needs a power-of-two width, got 24",
+            ),
+            (
+                r#"{"cmd":"transpose","kind":"crsw","scheme":"rap","width":513}"#,
+                "transpose simulates every DMM cycle; width is capped at 512, got 513",
+            ),
+            // Malformed fields are reported before unknown names.
+            (
+                r#"{"cmd":"layout","scheme":"zzz","width":0}"#,
+                "field 'width' must be 1..=4096, got 0",
+            ),
+            (
+                r#"{"cmd":"pattern_block","pattern":"zigzag","scheme":"zzz","trials":64,"block":2}"#,
+                "field 'block' must be 0..2 for 64 trials, got 2",
+            ),
+        ] {
+            assert_eq!(Request::parse(line), Err(message.to_string()), "{line}");
+        }
+        // The cap is inclusive, and xor is fine at a power of two.
+        assert!(
+            Request::parse(r#"{"cmd":"transpose","kind":"crsw","scheme":"xor","width":512}"#)
+                .is_ok()
+        );
+    }
+
+    #[test]
     fn parses_a_pattern_block_request() {
         let r = Request::parse(
             r#"{"cmd":"pattern_block","id":3,"pattern":"random","scheme":"ras","width":16,"trials":100,"block":3,"seed":5}"#,
@@ -606,8 +812,8 @@ mod tests {
         assert_eq!(
             r.cmd,
             Command::PatternBlock {
-                pattern: "random".into(),
-                scheme: "ras".into(),
+                pattern: MatrixPattern::Random,
+                scheme: Scheme::Ras,
                 width: 16,
                 trials: 100,
                 block: 3,
@@ -635,7 +841,7 @@ mod tests {
             r.cmd,
             Command::Synthesize {
                 workload: "column:0;diagonal:1".into(),
-                mode: "sigma".into(),
+                mode: Mode::Sigma,
                 width: 8,
                 seed: 2014,
             }
@@ -648,7 +854,7 @@ mod tests {
             r.cmd,
             Command::Synthesize {
                 workload: "column:0".into(),
-                mode: "table".into(),
+                mode: Mode::Table,
                 width: 4,
                 seed: 9,
             }

@@ -15,7 +15,7 @@
 
 use crate::handler::{self, Outcome};
 use crate::metrics::Metrics;
-use crate::protocol::{object, Command, ErrorKind, Request, Response};
+use crate::protocol::{object, Command, ErrorKind, PatternScheme, Request, Response};
 use crate::queue::PushError;
 use crate::server::Shared;
 use crate::transport::SharedWriter;
@@ -244,9 +244,10 @@ fn process_job(shared: &Arc<Shared>, job: &Job) {
         );
         return;
     }
-    // Admission through the breaker: when open, `pattern` degrades to
-    // the analyzer's certified bounds and `synthesize` to the best known
-    // static scheme's certified bound; everything else is refused.
+    // Admission through the breaker: when open, a static-scheme `pattern`
+    // degrades to the analyzer's certified bounds and `synthesize` to the
+    // best known static scheme's certified bound; everything else —
+    // adaptive `pattern` included — is refused.
     if matches!(shared.breaker.admit(), rap_resilience::Admission::Reject) {
         serve_breaker_reject(shared, job);
         return;
@@ -258,14 +259,16 @@ fn serve_breaker_reject(shared: &Arc<Shared>, job: &Job) {
     let id = job.request.id;
     // Both degraded paths run outside the failpoint-instrumented handler
     // and do no search/sampling, so they stay cheap and available while
-    // the real handlers are failing.
+    // the real handlers are failing. An adaptive `pattern` has no
+    // degraded path: its layout is whatever the controller committed,
+    // and the controller sits behind the breaker too.
     let degraded = match &job.request.cmd {
         Command::Pattern {
             pattern,
-            scheme,
+            scheme: PatternScheme::Static(scheme),
             width,
             ..
-        } => Some(handler::degraded_pattern(pattern, scheme, *width)),
+        } => Some(handler::degraded_pattern(*pattern, *scheme, *width)),
         Command::Synthesize {
             workload, width, ..
         } => Some(handler::degraded_synthesize(workload, *width)),

@@ -330,10 +330,8 @@ impl ServerHandle {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::test_lock;
     use rap_resilience::{FailPlan, Fault, HitSchedule};
-
-    /// The failpoint registry is process-global; serialize chaos tests.
-    static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
         let prev = std::panic::take_hook();
@@ -357,6 +355,7 @@ mod tests {
 
     #[test]
     fn end_to_end_request_response() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client
             .roundtrip(r#"{"cmd":"congestion","id":1,"width":4,"addresses":[0,4,8,1]}"#)
@@ -373,6 +372,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_get_contextual_400s() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client.roundtrip("this is not json").unwrap();
         assert_eq!(resp.error_kind(), Some("bad_request"));
@@ -393,6 +393,7 @@ mod tests {
     /// overflow that thread's stack and abort the server.
     #[test]
     fn deeply_nested_line_is_a_bad_request_and_the_server_survives() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client.roundtrip(&"[".repeat(100_000)).unwrap();
         assert_eq!(resp.error_kind(), Some("bad_request"), "{resp:?}");
@@ -412,6 +413,7 @@ mod tests {
     /// connection, and keeps serving others.
     #[test]
     fn unterminated_oversize_line_is_a_bad_request_and_closes_the_connection() {
+        let _g = test_lock::handlers();
         use std::io::{BufRead, BufReader, Write};
         let (handle, mut client) = small_server(ServerConfig::default());
         let raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
@@ -448,6 +450,7 @@ mod tests {
 
     #[test]
     fn health_and_stats_answer_inline() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         let health = client.roundtrip(r#"{"cmd":"health","id":9}"#).unwrap();
         assert!(health.ok);
@@ -462,6 +465,7 @@ mod tests {
 
     #[test]
     fn shed_responses_when_queue_is_full() {
+        let _g = test_lock::handlers();
         // One worker, one queue slot: pipeline a burst without reading
         // and verify the overflow gets structured sheds, not silence.
         let (handle, mut client) = small_server(ServerConfig {
@@ -496,6 +500,7 @@ mod tests {
 
     #[test]
     fn deadlines_produce_timeouts_or_partial_results() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         let resp = client
             .roundtrip(
@@ -516,9 +521,7 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_retried_and_surfaced() {
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _l = test_lock::fail_plans();
         // Panic on every hit, retries exhausted → structured 500; the
         // worker itself survives to serve the next request.
         let guard = rap_resilience::install(FailPlan::new(3).rule(
@@ -549,9 +552,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_and_pattern_degrades_to_analyzer_bounds() {
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _l = test_lock::fail_plans();
         let guard = rap_resilience::install(FailPlan::new(3).rule(
             "serve.handler",
             Fault::Panic,
@@ -616,11 +617,74 @@ mod tests {
         assert!(report.metrics.conserves_responses(), "{report:?}");
     }
 
+    /// Under an open breaker only a static-scheme `pattern` has a
+    /// degraded path. An adaptive one is refused like any other compute
+    /// request: `unavailable`/503, counted in `breaker_rejects` — not a
+    /// `bad_request` for a scheme name the analyzer does not know.
+    #[test]
+    fn adaptive_pattern_under_an_open_breaker_is_unavailable() {
+        let _l = test_lock::fail_plans();
+        let guard = rap_resilience::install(FailPlan::new(3).rule(
+            "serve.handler",
+            Fault::Panic,
+            HitSchedule::Always,
+        ));
+        let (handle, mut client) = small_server(ServerConfig {
+            workers: 1,
+            retry: RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                cooldown: Duration::from_mins(1),
+                success_to_close: 1,
+            },
+            adapt: Some(crate::server::AdaptOptions {
+                config: rap_adapt::AdaptConfig {
+                    width: 16,
+                    initial: "rap".to_string(),
+                    start_frozen: true,
+                    ..rap_adapt::AdaptConfig::default()
+                },
+                ledger: None,
+            }),
+            ..ServerConfig::default()
+        });
+        quiet_panics(|| {
+            for i in 0..2 {
+                let resp = client
+                    .roundtrip(&format!(r#"{{"cmd":"analyze","id":{i},"width":8}}"#))
+                    .unwrap();
+                assert_eq!(resp.error_kind(), Some("panic"), "{resp:?}");
+            }
+        });
+        assert_eq!(handle.breaker_state(), "open");
+        let adaptive = client
+            .roundtrip(
+                r#"{"cmd":"pattern","id":5,"pattern":"stride","scheme":"adaptive","width":16}"#,
+            )
+            .unwrap();
+        assert_eq!(adaptive.error_kind(), Some("unavailable"), "{adaptive:?}");
+        assert_eq!(adaptive.error.as_ref().unwrap().code, 503);
+        assert_eq!(adaptive.id, Some(5));
+        let static_run = client
+            .roundtrip(r#"{"cmd":"pattern","id":6,"pattern":"Stride","scheme":"RAP","width":16}"#)
+            .unwrap();
+        assert!(static_run.ok && static_run.degraded, "{static_run:?}");
+        let data = serde_json::to_string(&static_run.data.unwrap()).unwrap();
+        assert!(data.contains("\"source\":\"static-analyzer\""), "{data}");
+        drop(guard);
+        let report = shutdown(handle);
+        assert_eq!(report.metrics.breaker_rejects, 1, "{report:?}");
+        assert_eq!(report.metrics.bad_requests, 0, "{report:?}");
+        assert_eq!(report.metrics.degraded_served, 1, "{report:?}");
+        assert!(report.metrics.conserves_responses(), "{report:?}");
+    }
+
     #[test]
     fn breaker_recovers_through_half_open() {
-        let _l = CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _l = test_lock::fail_plans();
         let guard = rap_resilience::install(FailPlan::new(3).rule(
             "serve.handler",
             Fault::Panic,
@@ -660,6 +724,7 @@ mod tests {
 
     #[test]
     fn adaptive_endpoints_answer_over_the_wire() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig {
             adapt: Some(crate::server::AdaptOptions {
                 config: rap_adapt::AdaptConfig {
@@ -720,6 +785,7 @@ mod tests {
 
     #[test]
     fn adapt_endpoints_without_controller_are_bad_requests() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         for line in [
             r#"{"cmd":"adapt_status"}"#,
@@ -738,6 +804,7 @@ mod tests {
 
     #[test]
     fn graceful_drain_answers_leftovers() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig {
             workers: 1,
             queue_capacity: 32,
@@ -774,6 +841,7 @@ mod tests {
 
     #[test]
     fn requests_after_shutdown_are_refused_structurally() {
+        let _g = test_lock::handlers();
         let (handle, mut client) = small_server(ServerConfig::default());
         client.roundtrip(r#"{"cmd":"shutdown"}"#).unwrap();
         let resp = client

@@ -83,6 +83,20 @@ impl std::fmt::Display for TransposeKind {
     }
 }
 
+impl std::str::FromStr for TransposeKind {
+    type Err = String;
+
+    /// Parse an algorithm name, case-insensitively (`crsw`, `CRSW`, …).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "crsw" => Ok(TransposeKind::Crsw),
+            "srcw" => Ok(TransposeKind::Srcw),
+            "drdw" => Ok(TransposeKind::Drdw),
+            other => Err(format!("unknown kind '{other}' (expected crsw|srcw|drdw)")),
+        }
+    }
+}
+
 /// Build the two-phase DMM program for `kind` on matrices laid out by
 /// `mapping` at `base_a` (source) and `base_b` (destination).
 ///
@@ -122,6 +136,22 @@ mod tests {
     fn names_and_order() {
         let names: Vec<&str> = TransposeKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(names, vec!["CRSW", "SRCW", "DRDW"]);
+    }
+
+    #[test]
+    fn names_parse_case_insensitively_and_round_trip() {
+        for kind in TransposeKind::all() {
+            assert_eq!(kind.to_string().parse::<TransposeKind>(), Ok(kind));
+            assert_eq!(
+                kind.name().to_ascii_lowercase().parse::<TransposeKind>(),
+                Ok(kind)
+            );
+        }
+        assert_eq!("Drdw".parse::<TransposeKind>(), Ok(TransposeKind::Drdw));
+        assert_eq!(
+            "XYZW".parse::<TransposeKind>(),
+            Err("unknown kind 'xyzw' (expected crsw|srcw|drdw)".to_string())
+        );
     }
 
     /// Every algorithm must implement `b = aᵀ`: the write coordinate is
