@@ -9,7 +9,7 @@
 use crate::scratch::AccessScratch;
 use rand::Rng;
 use rap_core::mapping::MatrixMapping;
-use rap_core::{CompactCongestion, DistinctCongestion, RowShift, WideCompactCongestion};
+use rap_core::{CompactCongestion, RowShift, WideCompactCongestion};
 use serde::{Deserialize, Serialize};
 
 /// Logical matrix coordinate `(row i, column j)`.
@@ -228,10 +228,8 @@ pub fn warp_congestion_with(
 }
 
 /// The congestion kernels of the fused path: [`CompactCongestion`] for
-/// `w ≤ 64` (one mask word per bank); above that, [`DistinctCongestion`]
-/// (per-bank counts, no dedup) for the patterns whose lanes are distinct
-/// addresses and [`WideCompactCongestion`] (four mask words per bank)
-/// for the rest.
+/// `w ≤ 64` (one mask word per bank) and [`WideCompactCongestion`] (four
+/// mask words per bank) up to `w = 256`.
 trait LaneKernel {
     fn new(width: usize) -> Self;
     fn lane(&mut self, tag: u32, bank: u32);
@@ -270,47 +268,20 @@ impl LaneKernel for WideCompactCongestion {
     }
 }
 
-impl LaneKernel for DistinctCongestion {
-    #[inline]
-    fn new(width: usize) -> Self {
-        DistinctCongestion::new(width)
-    }
-    #[inline]
-    fn lane(&mut self, tag: u32, bank: u32) {
-        DistinctCongestion::lane(self, tag, bank);
-    }
-    #[inline]
-    fn finish(&self) -> u32 {
-        DistinctCongestion::finish(self)
-    }
-}
-
-/// Whether every warp of `pattern` reads `w` pairwise-distinct logical
-/// elements — and so, under the bijective permute-shift mapping, `w`
-/// distinct addresses: the precondition of [`DistinctCongestion`].
-fn lanes_are_distinct(pattern: MatrixPattern) -> bool {
-    match pattern {
-        MatrixPattern::Contiguous | MatrixPattern::Stride | MatrixPattern::Diagonal => true,
-        MatrixPattern::Random | MatrixPattern::Broadcast => false,
-    }
-}
-
-/// Widest `w` the narrow kernel serves; wider composed tables go to
-/// the wide kernels.
+/// Widest `w` the narrow kernel serves; wider composed rows go to the
+/// wide kernel.
 const NARROW_WIDTH: usize = 64;
 
 /// Congestion of one warp of `pattern`, fused end to end: coordinates are
-/// generated inline, the permute-shift mapping is a single byte read from
-/// the table composed into `scratch` (see [`AccessScratch::compose`]),
-/// and dedup + counting collapse into a bit-parallel kernel —
-/// [`CompactCongestion`] for `w ≤ 64`, [`WideCompactCongestion`] up to
-/// `w = 256`. Lane `(i, j)` lands in bank `rot_i(j)` at address
-/// `i·w + rot_i(j)`, so within one bank the row index `i` identifies
-/// the address and one `OR` per lane suffices. Above `w = 64`, the
-/// Contiguous, Stride and Diagonal patterns, whose lanes are distinct
-/// addresses, skip the dedup masks and count per bank
-/// ([`DistinctCongestion`]). No coordinate or address buffer is
-/// materialized and no per-lane division runs.
+/// generated inline, the permute-shift mapping is one byte read from the
+/// shift row composed into `scratch` (see [`AccessScratch::compose`]) and
+/// a conditional subtract, and dedup + counting collapse into a
+/// bit-parallel kernel — [`CompactCongestion`] for `w ≤ 64`,
+/// [`WideCompactCongestion`] up to `w = 256`. Lane `(i, j)` lands in bank
+/// `c = (j + s_i) mod w` at address `i·w + c`, so within one bank the row
+/// index `i` identifies the address and one `OR` per lane suffices. No
+/// coordinate or address buffer is materialized and no per-lane division
+/// runs.
 ///
 /// Consumes the random stream **exactly** like
 /// [`generate_warp_into`] for `warp = 0..w` in order (only
@@ -321,7 +292,7 @@ const NARROW_WIDTH: usize = 64;
 /// this.
 ///
 /// # Panics
-/// Panics if `w == 0`, `warp ≥ w`, or the table in `scratch` was not
+/// Panics if `w == 0`, `warp ≥ w`, or the row in `scratch` was not
 /// composed for a width-`w` mapping.
 #[inline]
 #[must_use]
@@ -349,15 +320,11 @@ fn warp_fused_wide<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut AccessScratch,
 ) -> u32 {
-    if lanes_are_distinct(pattern) {
-        warp_fused::<DistinctCongestion, R>(pattern, w, warp, rng, scratch)
-    } else {
-        warp_fused::<WideCompactCongestion, R>(pattern, w, warp, rng, scratch)
-    }
+    warp_fused::<WideCompactCongestion, R>(pattern, w, warp, rng, scratch)
 }
 
 /// [`warp_congestion_fused`] with the kernel chosen by the caller.
-/// Always inlined: the per-trial loops rely on the pattern being a
+/// Always inlined: the Random trial loop relies on the pattern being a
 /// compile-time constant here.
 #[inline(always)]
 fn warp_fused<K: LaneKernel, R: Rng + ?Sized>(
@@ -374,19 +341,18 @@ fn warp_fused<K: LaneKernel, R: Rng + ?Sized>(
     assert_eq!(
         composed.width(),
         wu,
-        "scratch table composed for a different width"
+        "scratch row composed for a different width"
     );
     let mut cc = K::new(w);
     match pattern {
         MatrixPattern::Contiguous => {
-            let base = warp * wu;
             for j in 0..wu {
-                cc.lane(warp, composed.bank_of_index(base + j));
+                cc.lane(warp, composed.bank(warp, j));
             }
         }
         MatrixPattern::Stride => {
             for i in 0..wu {
-                cc.lane(i, composed.bank_of_index(i * wu + warp));
+                cc.lane(i, composed.bank(i, warp));
             }
         }
         MatrixPattern::Diagonal => {
@@ -394,18 +360,18 @@ fn warp_fused<K: LaneKernel, R: Rng + ?Sized>(
                 // (j + warp) mod w via conditional subtract: both < w.
                 let mut c = j + warp;
                 c -= wu * u32::from(c >= wu);
-                cc.lane(j, composed.bank_of_index(j * wu + c));
+                cc.lane(j, composed.bank(j, c));
             }
         }
         MatrixPattern::Random => {
             for _ in 0..wu {
                 let (i, j) = random_pair(rng, wu);
-                cc.lane(i, composed.bank_of_index(i * wu + j));
+                cc.lane(i, composed.bank(i, j));
             }
         }
         MatrixPattern::Broadcast => {
             for _ in 0..wu {
-                cc.lane(0, composed.bank_of_index(0));
+                cc.lane(0, composed.bank(0, 0));
             }
         }
     }
@@ -416,15 +382,23 @@ fn warp_fused<K: LaneKernel, R: Rng + ?Sized>(
 /// path, feeding each warp's congestion to `sink` in warp order.
 ///
 /// Semantically identical to calling [`warp_congestion_fused`] for
-/// `warp = 0..w` in order (same results, same RNG consumption — the
-/// fused-vs-unfused tests cover this entry point too), but the kernel
-/// choice and the pattern dispatch happen once per trial instead of once
-/// per warp, so the compiler specializes the whole warp loop for each
-/// (kernel, pattern) pair. On the Monte-Carlo hot path that
-/// specialization is worth more than a third of the total runtime.
+/// `warp = 0..w` in order: same results, same RNG consumption (the
+/// fused-vs-unfused tests cover this entry point too). It does less work:
+///
+/// * Only [`MatrixPattern::Random`] evaluates every warp. The other
+///   patterns draw nothing, and under a row-shift mapping warp `k` is
+///   warp 0 with every lane's bank translated by `k` (mod `w`), tag for
+///   tag: Stride's lane `i` lands in bank `k + s_i`, Diagonal's lane `j`
+///   in `j + k + s_j`; a Contiguous row covers every bank once and
+///   Broadcast's lanes are identical. A cyclic translation permutes the
+///   banks and keeps each bank's set of tags, so every warp's congestion
+///   equals warp 0's: it is computed once and sent to `sink` `w` times.
+/// * The kernel choice and the pattern dispatch happen once per trial
+///   instead of once per warp, so the Random warp loop is specialized
+///   for each kernel.
 ///
 /// # Panics
-/// Panics if `w == 0` or the table in `scratch` was not composed for a
+/// Panics if `w == 0` or the row in `scratch` was not composed for a
 /// width-`w` mapping.
 pub fn trial_congestions_fused<R: Rng + ?Sized>(
     pattern: MatrixPattern,
@@ -443,11 +417,6 @@ pub fn trial_congestions_fused<R: Rng + ?Sized>(
 /// The `w > 64` arm of [`trial_congestions_fused`], kept out of line:
 /// inlined next to the narrow loops, the wide kernel's stack frame made
 /// the `w = 32` Monte-Carlo loop measurably slower.
-///
-/// Patterns whose lanes are distinct addresses go to
-/// [`DistinctCongestion`]: one count per lane and a 512 B reset, instead
-/// of the 8 KB of dedup masks and `4·w` popcounts per warp that
-/// Random and Broadcast need.
 #[inline(never)]
 fn trial_fused_wide<R: Rng + ?Sized>(
     pattern: MatrixPattern,
@@ -456,11 +425,7 @@ fn trial_fused_wide<R: Rng + ?Sized>(
     scratch: &mut AccessScratch,
     sink: impl FnMut(u32),
 ) {
-    if lanes_are_distinct(pattern) {
-        trial_fused::<DistinctCongestion, R>(pattern, w, rng, scratch, sink);
-    } else {
-        trial_fused::<WideCompactCongestion, R>(pattern, w, rng, scratch, sink);
-    }
+    trial_fused::<WideCompactCongestion, R>(pattern, w, rng, scratch, sink);
 }
 
 /// [`trial_congestions_fused`] with the kernel chosen by the caller.
@@ -473,63 +438,21 @@ fn trial_fused<K: LaneKernel, R: Rng + ?Sized>(
 ) {
     assert!(w > 0, "matrix width must be positive");
     let wu = w as u32;
-    // One arm per pattern so each loop inlines `warp_fused` with the
-    // pattern a compile-time constant.
-    match pattern {
-        MatrixPattern::Contiguous => {
-            for warp in 0..wu {
-                sink(warp_fused::<K, R>(
-                    MatrixPattern::Contiguous,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
+    if pattern == MatrixPattern::Random {
+        for warp in 0..wu {
+            sink(warp_fused::<K, R>(
+                MatrixPattern::Random,
+                w,
+                warp,
+                rng,
+                scratch,
+            ));
         }
-        MatrixPattern::Stride => {
-            for warp in 0..wu {
-                sink(warp_fused::<K, R>(
-                    MatrixPattern::Stride,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
-        MatrixPattern::Diagonal => {
-            for warp in 0..wu {
-                sink(warp_fused::<K, R>(
-                    MatrixPattern::Diagonal,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
-        MatrixPattern::Random => {
-            for warp in 0..wu {
-                sink(warp_fused::<K, R>(
-                    MatrixPattern::Random,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
-        }
-        MatrixPattern::Broadcast => {
-            for warp in 0..wu {
-                sink(warp_fused::<K, R>(
-                    MatrixPattern::Broadcast,
-                    w,
-                    warp,
-                    rng,
-                    scratch,
-                ));
-            }
+    } else {
+        // Rotation-invariant: every warp equals warp 0 (see above).
+        let congestion = warp_fused::<K, R>(pattern, w, 0, rng, scratch);
+        for _ in 0..wu {
+            sink(congestion);
         }
     }
 }
@@ -740,9 +663,46 @@ mod tests {
         }
     }
 
+    /// The trial loop evaluates warp 0 once for every pattern but Random
+    /// and repeats it: each warp it reports must equal that warp evaluated
+    /// on its own, and the trial must leave the random stream untouched.
+    #[test]
+    fn rotation_invariant_trials_match_every_warp() {
+        let mut scratch = AccessScratch::new();
+        for scheme in Scheme::all() {
+            for w in [
+                1usize, 2, 3, 7, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, 255, 256,
+            ] {
+                let mut map_rng = SmallRng::seed_from_u64(5000 + w as u64);
+                let mapping = RowShift::of_scheme(scheme, &mut map_rng, w);
+                assert!(scratch.compose(&mapping), "w={w} must compose");
+                for p in [
+                    MatrixPattern::Contiguous,
+                    MatrixPattern::Stride,
+                    MatrixPattern::Diagonal,
+                    MatrixPattern::Broadcast,
+                ] {
+                    let mut trial_rng = SmallRng::seed_from_u64(w as u64);
+                    let before = trial_rng.clone();
+                    let mut trial = Vec::with_capacity(w);
+                    trial_congestions_fused(p, w, &mut trial_rng, &mut scratch, |c| trial.push(c));
+                    assert_eq!(trial_rng, before, "{scheme} {p} w={w}: rng moved");
+                    assert_eq!(trial.len(), w, "{scheme} {p} w={w}");
+                    for warp in 0..w as u32 {
+                        let alone = warp_congestion_fused(p, w, warp, &mut trial_rng, &mut scratch);
+                        assert_eq!(
+                            trial[warp as usize], alone,
+                            "{scheme} {p} w={w} warp={warp}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "different width")]
-    fn fused_path_rejects_stale_table() {
+    fn fused_path_rejects_stale_row() {
         let mut scratch = AccessScratch::new();
         let mapping = RowShift::raw(8);
         assert!(scratch.compose(&mapping));

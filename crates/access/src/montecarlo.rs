@@ -60,7 +60,7 @@ pub fn block_range(block: u64, trials: u64) -> std::ops::Range<u64> {
 }
 
 /// Per-worker buffers of the matrix engine: the shared access scratch
-/// (congestion kernel + composed lookup table) and the coordinate buffer
+/// (congestion kernel + composed shift row) and the coordinate buffer
 /// of the unfused fallback. One instance lives per worker thread for a
 /// whole sweep (`map_init`), so steady state allocates nothing.
 #[derive(Default)]
@@ -109,9 +109,10 @@ pub(crate) fn matrix_block(
 /// (the partial accumulator is discarded so the surviving blocks stay
 /// bit-comparable to the plain engine).
 ///
-/// Per trial this composes the fresh mapping into the scratch lookup
-/// table and evaluates every warp through the fused single-table-read
-/// path; widths beyond the table's 256-bank range fall back to the
+/// Per trial this composes the fresh mapping into the scratch shift row
+/// and evaluates the trial through the fused path (every warp for Random,
+/// warp 0 once for the rotation-invariant patterns); widths beyond the
+/// row's 256-bank range fall back to the
 /// unfused generate + map + count pipeline. Both paths consume the
 /// trial's random stream identically and count congestion identically
 /// (pinned by the fused-vs-unfused tests and the conformance oracle), so

@@ -12,7 +12,7 @@ use rap_core::RowShift;
 
 /// Caller-owned buffers threaded through the `*_into` / `*_with` variants
 /// in [`crate::matrix`] and [`crate::array4d`], plus the composed
-/// permute-shift lookup table of the fused fast path.
+/// permute-shift row of the fused fast path.
 #[derive(Debug, Clone, Default)]
 pub struct AccessScratch {
     /// Physical address buffer (one entry per thread of the current warp).
@@ -20,8 +20,8 @@ pub struct AccessScratch {
     /// Congestion kernel heap buffers (used only by the unfused path at
     /// `width > 128`; the other congestion kernels live on the stack).
     pub(crate) congestion: CongestionScratch,
-    /// The composed σ+shift lookup table of the current trial's mapping
-    /// (`w ≤ 256`); the allocation persists across trials.
+    /// The current trial's σ/shift row, one byte per row (`w ≤ 256`);
+    /// the allocation persists across trials.
     pub(crate) composed: ComposedRowShift,
 }
 
@@ -32,11 +32,11 @@ impl AccessScratch {
         Self::default()
     }
 
-    /// Compose `mapping`'s permutation + row shifts into the cached
-    /// lookup table, making [`crate::matrix::warp_congestion_fused`]
-    /// serve this mapping. Returns `false` (table unusable, callers take
-    /// the unfused path) when `mapping.width()` exceeds
-    /// [`ComposedRowShift::MAX_WIDTH`] (256).
+    /// Store `mapping`'s permutation + row shifts in the cached `w`-byte
+    /// row, making [`crate::matrix::warp_congestion_fused`] serve this
+    /// mapping. Returns `true` for `1 ≤ w ≤ 256`; `false` (row unusable,
+    /// callers take the unfused path) when `mapping.width()` is 0 or
+    /// exceeds [`ComposedRowShift::MAX_WIDTH`].
     pub fn compose(&mut self, mapping: &RowShift) -> bool {
         self.composed.compose(mapping)
     }

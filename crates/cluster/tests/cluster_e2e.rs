@@ -326,3 +326,93 @@ fn query_routing_skips_migrating_shards_until_commit() {
     assert!(resp.ok);
     cluster.pool().shutdown();
 }
+
+/// A fake shard that answers `health` like a live worker but replies to
+/// any other request with bytes and never a newline. Returns its
+/// address and the number of such requests it has seen.
+fn newline_withholding_worker() -> (
+    std::net::SocketAddr,
+    std::sync::Arc<std::sync::atomic::AtomicU64>,
+) {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake worker");
+    let addr = listener.local_addr().expect("fake worker addr");
+    let streamed = std::sync::Arc::new(AtomicU64::new(0));
+    let seen = std::sync::Arc::clone(&streamed);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().map_while(Result::ok) {
+            let seen = std::sync::Arc::clone(&seen);
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clone stream");
+                let chunk = vec![b'x'; 1 << 16];
+                for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                    if line.contains(r#""health""#) {
+                        let health = r#"{"id":null,"ok":true,"degraded":false,"breaker":"closed","data":{"status":"ok"},"error":null}"#;
+                        if writeln!(writer, "{health}").is_err() {
+                            return;
+                        }
+                        continue;
+                    }
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    // Stream until the coordinator hangs up.
+                    while writer.write_all(&chunk).is_ok() {}
+                    return;
+                }
+            });
+        }
+    });
+    (addr, streamed)
+}
+
+#[test]
+fn a_worker_that_never_sends_a_newline_is_struck_and_its_blocks_redispatched() {
+    let real = WorkerPool::in_process(1).expect("spawn worker");
+    let (fake, streamed) = newline_withholding_worker();
+    let pool = WorkerPool::connect(&[real.addrs()[0], fake]);
+    let cluster = Cluster::new(
+        pool,
+        ClusterConfig {
+            max_reconnects: 1,
+            ..fast_cfg()
+        },
+    );
+    // Forty blocks, so the fake shard claims one while the real shard
+    // still has work.
+    let root = SeedDomain::new(2014).child("e2e-newline");
+    let cells = vec![SweepCell::new(
+        "Random/RAP/w=16",
+        MatrixPattern::Random,
+        Scheme::Rap,
+        16,
+        40 * 32,
+        &root,
+    )];
+    let truth = vec![matrix_congestion(
+        Scheme::Rap,
+        MatrixPattern::Random,
+        16,
+        40 * 32,
+        &root,
+    )];
+    let ledger = Ledger::in_memory();
+    let (merged, report) = cluster.run_sweep(&cells, &ledger);
+    assert_bit_identical(&merged, &truth);
+    let streamed = streamed.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(
+        streamed >= 1,
+        "the fake shard never got a block: {report:?}"
+    );
+    // Each block it got failed at the line cap and dropped the
+    // connection; the shard answers `health`, so it was reconnected.
+    // The block itself was requeued or, if a hedge beat the cap, already
+    // done.
+    assert!(report.reconnects >= 1, "{report:?}");
+    assert_eq!(report.workers_died, 0, "{report:?}");
+    assert_eq!(
+        report.executed + report.local_blocks,
+        report.blocks_total,
+        "{report:?}"
+    );
+    real.shutdown();
+}

@@ -1,18 +1,18 @@
 //! Oracle for the fused permute-shift congestion kernel
 //! (`congestion:fused-vs-unfused`): the bit-parallel fast path —
-//! coordinates generated inline, the mapping a single table read, and
-//! counting done by one of three kernels: `CompactCongestion` (`w ≤ 64`,
-//! dedup masks), `DistinctCongestion` (`64 < w ≤ 256`, per-bank counts
-//! for the distinct-address Contiguous, Stride and Diagonal patterns) or
-//! `WideCompactCongestion` (`64 < w ≤ 256`, dedup masks for Random and
-//! Broadcast) — against the fully unfused pipeline:
+//! coordinates generated inline, the mapping one shift-row byte and a
+//! conditional subtract, counting done by one of two kernels:
+//! `CompactCongestion` (`w ≤ 64`) or `WideCompactCongestion`
+//! (`64 < w ≤ 256`), both dedup masks, and every pattern but Random
+//! evaluated for warp 0 only and repeated `w` times (rotation
+//! invariance) — against the fully unfused pipeline:
 //! `generate_warp_into`, per-lane [`MatrixMapping::address`] arithmetic,
 //! and the sort-based [`BankLoads::analyze`] reference count.
 //!
 //! Each seed decodes one `(width, scheme, pattern)` instance with
 //! `width ≤ 256` (the fused path's domain, including the narrow kernel's
 //! word boundaries 63/64, the 64/65 handoff to the wide kernel, its tag
-//! word boundary 127/128 and its top 255/256), composes the lookup table
+//! word boundary 127/128 and its top 255/256), composes the shift row
 //! once, and then walks
 //! **every** warp of one trial through both paths with identically seeded
 //! random streams. Any per-warp disagreement — value or random-stream

@@ -521,91 +521,6 @@ impl WideCompactCongestion {
     }
 }
 
-/// Congestion of one warp whose lanes are **pairwise-distinct
-/// addresses**, for machines of up to 256 banks: one `u16` count per bank
-/// (512 B), one increment per lane, and the maximum taken at the end.
-/// With distinct addresses a bank's unique-request load is just its lane
-/// count, so there is no dedup mask to clear or popcount.
-///
-/// The caller passes the same `(tag, bank)` pair as to
-/// [`WideCompactCongestion`] (`tag < 256`), and guarantees that no two
-/// lanes share it. Only `bank` is counted; debug builds also feed every
-/// lane to a [`WideCompactCongestion`] and assert in
-/// [`DistinctCongestion::finish`] that both kernels agree, which fails as
-/// soon as a warp repeats an address. In release builds a repeated lane
-/// counts twice.
-///
-/// The fused matrix path meets the contract for Contiguous, Stride and
-/// Diagonal warps: each touches `w` distinct logical elements and the
-/// mapping is a bijection. Random and Broadcast warps may repeat an
-/// element and stay on the mask kernels. Build one per warp with
-/// [`DistinctCongestion::new`].
-#[derive(Debug, Clone)]
-pub struct DistinctCongestion {
-    counts: [u16; Self::MAX_WIDTH],
-    width: u32,
-    #[cfg(debug_assertions)]
-    reference: WideCompactCongestion,
-}
-
-impl DistinctCongestion {
-    /// Widest machine the kernel serves.
-    pub const MAX_WIDTH: usize = WideCompactCongestion::MAX_WIDTH;
-
-    /// Start a warp accumulation for a `width`-bank machine.
-    ///
-    /// # Panics
-    /// Panics if `width == 0` or `width > 256`.
-    #[must_use]
-    pub fn new(width: usize) -> Self {
-        assert!(width > 0, "machine width must be positive");
-        assert!(
-            width <= Self::MAX_WIDTH,
-            "distinct-lane path requires width ≤ {}, got {width}",
-            Self::MAX_WIDTH
-        );
-        Self {
-            counts: [0; Self::MAX_WIDTH],
-            width: width as u32,
-            #[cfg(debug_assertions)]
-            reference: WideCompactCongestion::new(width),
-        }
-    }
-
-    /// Count one lane landing in `bank`; `tag` identifies its address
-    /// within the bank and is read only by the debug-build contract check.
-    ///
-    /// An out-of-range bank is a contract violation (debug-asserted); in
-    /// release builds it wraps into the valid range rather than writing
-    /// out of bounds.
-    #[inline]
-    pub fn lane(&mut self, tag: u32, bank: u32) {
-        debug_assert!(bank < self.width, "bank {bank} out of range");
-        #[cfg(debug_assertions)]
-        self.reference.lane(tag, bank);
-        let _ = tag;
-        let count = &mut self.counts[bank as usize % Self::MAX_WIDTH];
-        *count = count.wrapping_add(1);
-    }
-
-    /// The congestion of the lanes seen so far (0 if none).
-    #[inline]
-    #[must_use]
-    pub fn finish(&self) -> u32 {
-        // `min` proves the bound to the optimizer, as in
-        // `WideCompactCongestion::finish`.
-        let w = (self.width as usize).min(Self::MAX_WIDTH);
-        let max = u32::from(self.counts[..w].iter().copied().max().unwrap_or(0));
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            max,
-            self.reference.finish(),
-            "distinct-lane contract violated: a warp repeated an address"
-        );
-        max
-    }
-}
-
 /// Congestion of one warp access (stack/scratch-free convenience; takes
 /// the same fast paths as [`CongestionScratch::congestion`]).
 ///
@@ -975,92 +890,6 @@ mod tests {
     #[should_panic(expected = "width ≤ 256")]
     fn wide_compact_oversize_width_rejected() {
         let _ = WideCompactCongestion::new(257);
-    }
-
-    /// Runs one warp of `(tag, bank)` lanes through the counting kernel.
-    fn distinct_congestion(width: usize, lanes: &[(u32, u32)]) -> u32 {
-        let mut cc = DistinctCongestion::new(width);
-        for &(tag, bank) in lanes {
-            cc.lane(tag, bank);
-        }
-        cc.finish()
-    }
-
-    /// The counting kernel against the sort-based reference on warps of
-    /// pairwise-distinct addresses `tag·w + bank`, across the widths the
-    /// wide fused path serves, including warps with more lanes than banks.
-    #[test]
-    fn distinct_path_matches_analyze_on_distinct_warps() {
-        for width in [1usize, 2, 3, 63, 64, 65, 100, 127, 128, 129, 200, 255, 256] {
-            let w = width as u64;
-            for warp in 0..48u64 {
-                let lanes_wanted = if warp % 3 == 0 {
-                    width.min(256)
-                } else {
-                    1 + (warp as usize * 37) % width
-                };
-                let mut seen = std::collections::HashSet::new();
-                let mut lanes = Vec::new();
-                let mut k = 0u64;
-                while lanes.len() < lanes_wanted {
-                    let x = splitmix_like(warp * 1_000_003 + k * 7 + w);
-                    k += 1;
-                    // Bias half the warps toward a few banks so the
-                    // maximum is well above 1.
-                    let bank = if warp % 2 == 0 { x % w.min(3) } else { x % w };
-                    let tag = (x >> 32) % w;
-                    if seen.insert((tag, bank)) {
-                        lanes.push((tag as u32, bank as u32));
-                    }
-                }
-                let addrs: Vec<u64> = lanes
-                    .iter()
-                    .map(|&(tag, bank)| u64::from(tag) * w + u64::from(bank))
-                    .collect();
-                assert_eq!(
-                    distinct_congestion(width, &lanes),
-                    BankLoads::analyze(width, &addrs).congestion(),
-                    "width={width}, warp={warp}"
-                );
-            }
-        }
-    }
-
-    /// 256 distinct addresses in one bank: the count (256) overflows a
-    /// `u8` counter but not the kernel's `u16`.
-    #[test]
-    fn distinct_path_counts_a_full_bank_past_u8() {
-        for (width, bank) in [(256usize, 255u32), (256, 0), (1, 0), (200, 17)] {
-            let lanes: Vec<(u32, u32)> = (0..256).map(|tag| (tag, bank)).collect();
-            let addrs: Vec<u64> = lanes
-                .iter()
-                .map(|&(tag, bank)| u64::from(tag) * width as u64 + u64::from(bank))
-                .collect();
-            assert_eq!(BankLoads::analyze(width, &addrs).congestion(), 256);
-            assert_eq!(distinct_congestion(width, &lanes), 256, "width={width}");
-        }
-        assert_eq!(distinct_congestion(256, &[]), 0);
-    }
-
-    /// Debug builds check the contract: a repeated address is caught
-    /// instead of being counted twice.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "distinct-lane contract violated")]
-    fn distinct_path_rejects_a_repeated_address_in_debug() {
-        let _ = distinct_congestion(128, &[(3, 70), (5, 70), (3, 70)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be positive")]
-    fn distinct_zero_width_rejected() {
-        let _ = DistinctCongestion::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "width ≤ 256")]
-    fn distinct_oversize_width_rejected() {
-        let _ = DistinctCongestion::new(257);
     }
 
     fn splitmix_like(x: u64) -> u64 {

@@ -64,8 +64,7 @@ pub mod permutation;
 pub mod theory;
 
 pub use congestion::{
-    bank_of, BankLoads, CompactCongestion, CongestionScratch, DistinctCongestion,
-    WideCompactCongestion,
+    bank_of, BankLoads, CompactCongestion, CongestionScratch, WideCompactCongestion,
 };
 pub use error::CoreError;
 pub use mapping::{ComposedRowShift, MatrixMapping, RowShift, Scheme};

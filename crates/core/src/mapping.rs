@@ -278,72 +278,57 @@ impl MatrixMapping for RowShift {
     }
 }
 
-/// A [`RowShift`] mapping with the permutation/shift composition
-/// precomputed into one dense `w²`-entry lookup table, for `w ≤ 256`.
+/// A [`RowShift`] mapping prepared for the fused Monte-Carlo loop, for
+/// `w ≤ 256`: the `w` row shifts, reduced modulo `w`, stored as bytes.
 ///
-/// `rot[i·w + j] = (j + shift[i]) mod w` is the rotated physical column of
-/// logical element `(i, j)`; since the row base `i·w` is a multiple of
-/// `w`, that single byte is simultaneously the **bank** of the element and
-/// the low part of its address (`address = i·w + rot`). A Monte-Carlo
-/// inner loop therefore does one table read per lane instead of the
-/// mul/mod/permute arithmetic of [`RowShift::address`] — the per-lane
-/// hardware division is gone, and the table itself is built row-wise from
-/// two wrap segments with **no** per-element `mod`.
+/// Logical element `(i, j)` sits in physical column
+/// `c = (j + shift[i]) mod w`; with both terms below `w` the reduction is
+/// one conditional subtract (`c − w·[c ≥ w]`), so a lane costs one byte
+/// read and no division. Since the row base `i·w` is a multiple of `w`,
+/// `c` is simultaneously the **bank** of the element and the low part of
+/// its address (`address = i·w + c`).
 ///
-/// The table is rebuilt per trial (mappings are redrawn every trial) but
-/// its allocation is cached across trials via [`ComposedRowShift::compose`]
-/// on a persistent value — `rap-access`'s `AccessScratch` holds one per
-/// worker.
+/// The shifts are redrawn every trial, so the row is rebuilt per trial:
+/// `w` bytes, against the `w²`-byte rotation table (64 KB at `w = 256`)
+/// this type used to hold. Its allocation is cached across trials via
+/// [`ComposedRowShift::compose`] on a persistent value — `rap-access`'s
+/// `AccessScratch` holds one per worker.
 #[derive(Debug, Clone, Default)]
 pub struct ComposedRowShift {
     width: u32,
-    rot: Vec<u8>,
+    shifts: Vec<u8>,
 }
 
 impl ComposedRowShift {
-    /// Widest mapping the composed table serves: a rotated column
-    /// (< 256) always fits a byte, and the row index stays within the
-    /// 256-tag range of the wide bit-parallel congestion kernel
-    /// ([`crate::WideCompactCongestion`]). The table is `w²` bytes,
-    /// 64 KB at the limit.
+    /// Widest mapping served: a reduced shift (< 256) always fits a
+    /// byte, and the row index stays within the 256-tag range of the
+    /// wide bit-parallel congestion kernel
+    /// ([`crate::WideCompactCongestion`]).
     pub const MAX_WIDTH: usize = 256;
 
-    /// An empty table; [`ComposedRowShift::compose`] fills it.
+    /// An empty row; [`ComposedRowShift::compose`] fills it.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Recompute the table for `mapping`, reusing the existing
-    /// allocation. Returns `false` (leaving the table unusable) when
-    /// `mapping.width() > MAX_WIDTH` — callers fall back to the unfused
+    /// Store `mapping`'s row shifts, reusing the existing allocation.
+    /// Returns `false` (leaving the row unusable) when `mapping.width()`
+    /// is 0 or exceeds `MAX_WIDTH` — callers fall back to the unfused
     /// per-address arithmetic.
     pub fn compose(&mut self, mapping: &RowShift) -> bool {
-        let w = mapping.width();
-        if w == 0 || w > Self::MAX_WIDTH {
+        let w = mapping.width() as u32;
+        if w == 0 || w as usize > Self::MAX_WIDTH {
             self.width = 0;
             return false;
         }
-        // The identity row 0, 1, …, 255; every rotated row is two
-        // contiguous slices of it, so composition is 2w small memcpys.
-        const IOTA: [u8; ComposedRowShift::MAX_WIDTH] = {
-            let mut a = [0u8; ComposedRowShift::MAX_WIDTH];
-            let mut k = 0;
-            while k < a.len() {
-                a[k] = k as u8;
-                k += 1;
-            }
-            a
-        };
-        self.width = w as u32;
-        self.rot.resize(w * w, 0);
-        for (i, row) in self.rot.chunks_exact_mut(w).enumerate() {
-            // Row i's rotated columns are s, s+1, …, w−1, 0, 1, …, s−1:
-            // two contiguous wrap segments, no per-element mod.
-            let s = mapping.shift_of_row(i as u32) as usize % w;
-            row[..w - s].copy_from_slice(&IOTA[s..w]);
-            row[w - s..].copy_from_slice(&IOTA[..s]);
-        }
+        self.width = w;
+        self.shifts.clear();
+        // Every constructor keeps shifts below `w`; the `%` only guards
+        // a deserialized table, and the branch is never taken otherwise.
+        let reduce = |s: u32| if s < w { s } else { s % w };
+        self.shifts
+            .extend(mapping.shifts().iter().map(|&s| reduce(s) as u8));
         true
     }
 
@@ -354,34 +339,24 @@ impl ComposedRowShift {
         self.width
     }
 
-    /// Whether the table currently holds a composed mapping.
+    /// Whether the row currently holds a composed mapping.
     #[inline]
     #[must_use]
     pub fn is_composed(&self) -> bool {
         self.width > 0
     }
 
-    /// Bank of the element with compact logical index `idx = i·w + j` —
-    /// one byte read.
+    /// Bank of logical element `(i, j)`, `j < w`: `(j + shift[i]) mod w`
+    /// by one byte read and a conditional subtract.
     ///
     /// # Panics
-    /// Panics if `idx ≥ w²` (via the slice index).
+    /// Panics if `i ≥ w` (via the slice index).
     #[inline]
     #[must_use]
-    pub fn bank_of_index(&self, idx: u32) -> u32 {
-        u32::from(self.rot[idx as usize])
-    }
-
-    /// Physical flat address of the element with compact logical index
-    /// `idx = i·w + j`: the row base plus the composed rotation.
-    ///
-    /// # Panics
-    /// Panics if `idx ≥ w²` (via the slice index).
-    #[inline]
-    #[must_use]
-    pub fn address_of_index(&self, idx: u32) -> u32 {
-        let w = self.width;
-        (idx / w) * w + u32::from(self.rot[idx as usize])
+    pub fn bank(&self, i: u32, j: u32) -> u32 {
+        debug_assert!(j < self.width, "column {j} out of range");
+        let c = j + u32::from(self.shifts[i as usize]);
+        c - self.width * u32::from(c >= self.width)
     }
 }
 
@@ -559,11 +534,11 @@ mod tests {
         assert_eq!(RowShift::raw(8).storage_words(), 64);
     }
 
-    /// The composed table must reproduce `address`/`bank` exactly for
-    /// every scheme and width it serves, including the 63/64 boundary of
-    /// the narrow congestion kernel and the 255/256 top of the table.
+    /// The composed row must reproduce `bank` exactly for every scheme
+    /// and width it serves, including the 63/64 boundary of the narrow
+    /// congestion kernel and the 255/256 top of the row.
     #[test]
-    fn composed_table_matches_unfused_arithmetic() {
+    fn composed_row_matches_unfused_arithmetic() {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut composed = ComposedRowShift::new();
         for scheme in Scheme::all() {
@@ -576,14 +551,8 @@ mod tests {
                 assert_eq!(composed.width(), w as u32);
                 for i in 0..w as u32 {
                     for j in 0..w as u32 {
-                        let idx = i * w as u32 + j;
                         assert_eq!(
-                            composed.address_of_index(idx),
-                            m.address(i, j),
-                            "{scheme} w={w} ({i},{j}) address"
-                        );
-                        assert_eq!(
-                            composed.bank_of_index(idx),
+                            composed.bank(i, j),
                             m.bank(i, j),
                             "{scheme} w={w} ({i},{j}) bank"
                         );
@@ -593,21 +562,41 @@ mod tests {
         }
     }
 
+    /// A shift table that bypassed the constructors (shifts ≥ `w`, as a
+    /// deserialized one may hold) is reduced modulo `w` like
+    /// [`RowShift::address`] reduces it.
     #[test]
-    fn composed_table_rejects_wide_mappings_and_recovers() {
+    fn composed_row_reduces_out_of_range_shifts() {
+        let m = RowShift {
+            width: 5,
+            shifts: vec![5, 7, 0, 1_000_003, 4_000_000_007],
+            scheme: Scheme::Ras,
+        };
+        let mut composed = ComposedRowShift::new();
+        assert!(composed.compose(&m));
+        for i in 0..5 {
+            for j in 0..5 {
+                assert_eq!(composed.bank(i, j), m.bank(i, j), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn composed_row_rejects_wide_mappings_and_recovers() {
         let mut rng = SmallRng::seed_from_u64(10);
         let mut composed = ComposedRowShift::new();
         let wide = RowShift::rap(&mut rng, 257);
         assert!(!composed.compose(&wide));
         assert!(!composed.is_composed());
+        assert!(!composed.compose(&RowShift::raw(0)));
         // The same value composes a servable mapping afterwards (the
         // allocation is reused, stale bytes must not leak).
         let narrow = RowShift::rap(&mut rng, 8);
         assert!(composed.compose(&narrow));
         for idx in 0..64u32 {
             assert_eq!(
-                composed.address_of_index(idx),
-                narrow.address(idx / 8, idx % 8)
+                composed.bank(idx / 8, idx % 8),
+                narrow.bank(idx / 8, idx % 8)
             );
         }
     }

@@ -4,12 +4,22 @@
 //! [`Client`] wraps one TCP connection; requests may be pipelined
 //! (several [`Client::send`] calls before reading) and responses are
 //! read one line at a time with a bounded read timeout so a wedged
-//! server cannot hang the caller forever.
+//! server cannot hang the caller forever, and at most
+//! [`MAX_RESPONSE_BYTES`] long so a peer that streams bytes without a
+//! newline cannot grow the caller's memory without bound.
 
 use crate::protocol::Response;
-use std::io::{BufRead, BufReader, Write};
+use crate::transport::{read_frame, Frame};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Longest response line a [`Client`] reads, newline excluded: 256 MiB.
+/// The largest legal response is a `layout` render of a padded
+/// [`MAX_WIDTH`](crate::MAX_WIDTH) matrix, about 168 MB (`w·(w+1)`
+/// cells of ten bytes each); a test builds it and reads it through a
+/// client.
+pub const MAX_RESPONSE_BYTES: usize = 1 << 28;
 
 /// One protocol connection.
 pub struct Client {
@@ -62,17 +72,25 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Read the next raw response line; `None` on clean EOF.
+    /// Read the next raw response line, terminator stripped; `None` on
+    /// clean EOF.
     ///
     /// # Errors
-    /// Read timeout surfaces as `WouldBlock`/`TimedOut`.
+    /// Read timeout surfaces as `WouldBlock`/`TimedOut`; a line longer
+    /// than [`MAX_RESPONSE_BYTES`], or not UTF-8, as `InvalidData` (the
+    /// connection is then mid-line and should be dropped).
     pub fn recv_line(&mut self) -> std::io::Result<Option<String>> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(None);
+        let mut buf = Vec::new();
+        match read_frame(&mut self.reader, &mut buf, MAX_RESPONSE_BYTES)? {
+            Frame::Closed => Ok(None),
+            Frame::Oversize => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("response line exceeds {MAX_RESPONSE_BYTES} bytes"),
+            )),
+            Frame::Line => String::from_utf8(buf)
+                .map(Some)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
         }
-        Ok(Some(line))
     }
 
     /// Read and parse the next response; `None` on clean EOF.
@@ -105,5 +123,88 @@ impl Client {
                 "server closed the connection before responding",
             )
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::handler::{self, Outcome};
+    use crate::protocol::Command;
+    use crate::test_lock;
+    use rap_access::CancelToken;
+    use rap_core::Scheme;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// A one-connection fake server: reads one request line, then writes
+    /// `reply` (whatever it returns) until it returns `None` or the
+    /// client hangs up.
+    fn fake_server(
+        mut reply: impl FnMut() -> Option<Vec<u8>> + Send + 'static,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut byte = [0u8; 1];
+            while stream.read(&mut byte).is_ok_and(|n| n == 1) && byte[0] != b'\n' {}
+            while let Some(chunk) = reply() {
+                if stream.write_all(&chunk).is_err() {
+                    return;
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    /// A peer that streams bytes and never a newline: the client stops
+    /// at the cap with `InvalidData` instead of buffering forever.
+    #[test]
+    fn a_response_without_newline_is_refused_at_the_cap() {
+        let chunk = vec![b'x'; 1 << 16];
+        let (addr, server) = fake_server(move || Some(chunk.clone()));
+        let mut client = Client::connect(addr).expect("connect");
+        let err = client.roundtrip(r#"{"cmd":"health"}"#).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        drop(client);
+        server
+            .join()
+            .expect("the fake server stops once the client hangs up");
+    }
+
+    /// The largest legal response — a padded layout at `MAX_WIDTH`, with
+    /// the longest id and breaker state — passes under the cap.
+    #[test]
+    fn the_largest_layout_response_passes_the_cap() {
+        let data = {
+            let _g = test_lock::handlers();
+            let layout = Command::Layout {
+                scheme: Scheme::Padded,
+                width: crate::MAX_WIDTH,
+                seed: u64::MAX,
+            };
+            match handler::execute(&layout, &CancelToken::never(), None) {
+                Outcome::Ok(data) => data,
+                other => panic!("layout failed: {other:?}"),
+            }
+        };
+        let expected = Response::ok(Some(u64::MAX), "half-open", data);
+        // `to_line` appends the newline the cap does not count.
+        let line = expected.to_line().into_bytes();
+        assert!(
+            (160_000_000..=MAX_RESPONSE_BYTES).contains(&(line.len() - 1)),
+            "largest layout response is {} bytes",
+            line.len() - 1
+        );
+        let mut reply = Some(line);
+        let (addr, server) = fake_server(move || reply.take());
+        let mut client = Client::connect(addr).expect("connect");
+        let got = client
+            .roundtrip(r#"{"cmd":"layout"}"#)
+            .expect("the largest legal response is read");
+        assert_eq!(got, expected);
+        server.join().expect("fake server");
     }
 }

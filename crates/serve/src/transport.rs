@@ -13,9 +13,9 @@
 //!
 //! The split matters for reuse: `rap-cluster`'s coordinator speaks to
 //! workers through [`Client`](crate::client::Client) and
-//! [`protocol`](crate::protocol) alone — it links none of this server
-//! transport — while the server side composes
-//! transport → routing → handler.
+//! [`protocol`](crate::protocol) alone — of this server transport it
+//! uses only the capped line reader, [`read_frame`] — while the server
+//! side composes transport → routing → handler.
 
 use crate::metrics::Metrics;
 use crate::protocol::{ErrorKind, Request, Response};
@@ -103,33 +103,45 @@ fn refuse_connection(shared: &Arc<Shared>, stream: TcpStream) {
 const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// One framed read from a connection.
-enum Frame {
+pub(crate) enum Frame {
     /// A complete line (or the final unterminated one before EOF), with
     /// the `\n` or `\r\n` terminator stripped.
     Line,
-    /// More than [`MAX_REQUEST_BYTES`] without a newline.
+    /// More than the cap without a newline.
     Oversize,
-    /// End of stream, or a read error.
+    /// End of stream.
     Closed,
 }
 
-/// Read one request line into `buf`, never buffering more than
-/// `MAX_REQUEST_BYTES + 1` bytes of it.
-fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Frame {
+/// Read one line into `buf`, never buffering more than `max + 1` bytes
+/// of it: the server's request reader and [`Client`](crate::Client)'s
+/// response reader share this framing, each with its own cap.
+///
+/// # Errors
+/// Propagates read errors (timeouts included).
+pub(crate) fn read_frame(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    max: usize,
+) -> std::io::Result<Frame> {
     buf.clear();
-    let limit = MAX_REQUEST_BYTES as u64 + 1;
-    match reader.by_ref().take(limit).read_until(b'\n', buf) {
-        Ok(0) | Err(_) => Frame::Closed,
-        Ok(_) if buf.last() == Some(&b'\n') => {
+    let n = reader
+        .by_ref()
+        .take(max as u64 + 1)
+        .read_until(b'\n', buf)?;
+    Ok(if n == 0 {
+        Frame::Closed
+    } else if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
             buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            Frame::Line
         }
-        Ok(_) if buf.len() > MAX_REQUEST_BYTES => Frame::Oversize,
-        Ok(_) => Frame::Line,
-    }
+        Frame::Line
+    } else if buf.len() > max {
+        Frame::Oversize
+    } else {
+        Frame::Line
+    })
 }
 
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
@@ -140,9 +152,9 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
-        let line = match read_frame(&mut reader, &mut buf) {
-            Frame::Closed => break,
-            Frame::Oversize => {
+        let line = match read_frame(&mut reader, &mut buf, MAX_REQUEST_BYTES) {
+            Ok(Frame::Closed) | Err(_) => break,
+            Ok(Frame::Oversize) => {
                 // The rest of the line is never read: answer, then close
                 // the connection (once in-flight responses are written).
                 Metrics::bump(&shared.metrics.received);
@@ -160,7 +172,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                 );
                 break;
             }
-            Frame::Line => match std::str::from_utf8(&buf) {
+            Ok(Frame::Line) => match std::str::from_utf8(&buf) {
                 Ok(line) => line,
                 Err(_) => break,
             },
@@ -192,7 +204,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut out = Vec::new();
         loop {
-            match read_frame(&mut reader, &mut buf) {
+            match read_frame(&mut reader, &mut buf, MAX_REQUEST_BYTES).unwrap() {
                 Frame::Line => out.push(Ok(String::from_utf8(buf.clone()).unwrap())),
                 Frame::Oversize => {
                     out.push(Err("oversize"));
