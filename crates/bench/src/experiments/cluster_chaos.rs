@@ -25,7 +25,7 @@
 
 use super::serve_chaos::SoakCheck;
 use super::table2::{self, Table2Config};
-use rap_cluster::{Cluster, ClusterConfig, ClusterReport, WorkerPool};
+use rap_cluster::{Cluster, ClusterConfig, ClusterReport, SweepCell, WorkerPool};
 use rap_resilience::{install, FailPlan, Fault, HitSchedule, Ledger, SyncPolicy};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,31 +157,48 @@ fn assert_bits(
 
 /// Check 1: kill one worker mid-sweep; re-dispatch keeps the merge
 /// bit-identical and every block resolves.
+///
+/// The kill is triggered by progress, not by a clock, so a fast sweep
+/// cannot finish before it: the victim dies once a quarter of the blocks
+/// are in the shared ledger, and the check requires that it was noticed
+/// (`workers_died == 1`) and that its work moved (requeued or
+/// re-dispatched).
 fn kill_mid_sweep_check(cfg: &ChaosConfig) -> Result<(String, ClusterReport), String> {
     let t2 = sweep_cfg(cfg);
     let truth = table2::run(&t2);
+    let cells = table2::sweep_cells(&t2);
+    let blocks_total: u64 = cells.iter().map(SweepCell::blocks).sum();
     let pool = spawn_pool(cfg, cfg.workers)?;
-    let cluster = Arc::new(Cluster::new(
+    let cluster = Cluster::new(
         pool,
         ClusterConfig {
             max_reconnects: 1,
             ..ClusterConfig::default()
         },
-    ));
+    );
     let victim = cfg.workers - 1;
-    let killer = {
-        let cluster = Arc::clone(&cluster);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(25));
-            cluster.pool().kill(victim)
-        })
-    };
     let ledger = Ledger::in_memory();
-    let (merged, report) = cluster.run_sweep(&table2::sweep_cells(&t2), &ledger);
-    let killed = killer.join().map_err(|_| "killer thread panicked")?;
+    let (killed, (merged, report)) = std::thread::scope(|scope| {
+        let killer = scope.spawn(|| {
+            // The deadline only keeps a broken sweep from hanging the soak.
+            let deadline = Instant::now() + Duration::from_mins(1);
+            while ledger.recorded() * 4 < blocks_total && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            cluster.pool().kill(victim)
+        });
+        let swept = cluster.run_sweep(&cells, &ledger);
+        (killer.join(), swept)
+    });
     cluster.pool().shutdown();
-    if !killed {
+    if !killed.map_err(|_| "killer thread panicked")? {
         return Err("the kill hook reported it could not kill the victim".to_string());
+    }
+    if report.workers_died != 1 || report.requeued + report.redispatched == 0 {
+        return Err(format!(
+            "the kill went unnoticed: expected one dead worker and at least one requeued or \
+             re-dispatched block: {report:?}"
+        ));
     }
     assert_bits(&merged, &truth)?;
     let resolved = report.from_checkpoint + report.executed + report.local_blocks;
@@ -195,10 +212,12 @@ fn kill_mid_sweep_check(cfg: &ChaosConfig) -> Result<(String, ClusterReport), St
     Ok((
         format!(
             "bit-identical through a mid-sweep kill ({} blocks: {} on workers, {} local, \
-             {} redispatched, {} hedged, {} duplicate(s) deduped, {} worker(s) died)",
+             {} requeued, {} redispatched, {} hedged, {} duplicate(s) deduped, {} worker(s) \
+             died)",
             report.blocks_total,
             report.executed,
             report.local_blocks,
+            report.requeued,
             report.redispatched,
             report.hedged,
             report.hedge_wasted,

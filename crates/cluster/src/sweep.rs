@@ -12,16 +12,33 @@
 //!
 //! Fault model, mechanism by mechanism:
 //!
-//! * **lease table** — a dispatched block is leased `(worker, issued)`;
-//!   a lease older than [`ClusterConfig::lease`] is presumed orphaned
-//!   (worker stalled or died without an error) and re-dispatched;
-//! * **hedged re-dispatch** — an idle worker re-executes the stalest
-//!   in-flight block past [`ClusterConfig::hedge_after`], so one
-//!   straggler cannot gate the sweep; the dedup ledger makes the race
-//!   harmless;
+//! * **pipelined window** — each worker's runner keeps up to
+//!   `PIPELINE_DEPTH` (8) `pattern_block` requests in flight on a
+//!   connection it owns for the whole sweep (parked in the slot between
+//!   sweeps; routed queries and probes use the slot's other connection,
+//!   so nothing else ever reads a pipelined answer). Every request
+//!   carries an `id`, and answers are matched by id, in any order;
+//! * **lease table** — a block is leased `(worker, issued)` when its
+//!   request is sent; a lease older than [`ClusterConfig::lease`] is
+//!   presumed orphaned (worker stalled or died without an error) and
+//!   re-dispatched;
+//! * **window failure rule** — a dropped connection, a timeout or an
+//!   error answer fails the whole window: the connection is dropped and
+//!   reconnected, every in-flight block is requeued, and exactly one
+//!   takes a strike (the block the error answers, else the oldest), so
+//!   a poisoned block cannot strike out its innocent co-flight blocks.
+//!   A block with `MAX_ITEM_STRIKES` (3) strikes resolves in-process;
+//! * **hedged re-dispatch** — an idle worker (nothing in flight)
+//!   re-executes the stalest in-flight block past
+//!   [`ClusterConfig::hedge_after`], so one straggler cannot gate the
+//!   sweep; the dedup ledger makes the race harmless;
+//! * **wake on change** — an idle runner with nothing to claim sleeps
+//!   on a condition variable that every commit, failed window and
+//!   runner exit signals, with a timeout at the stalest foreign lease's
+//!   hedge deadline; the last commit ends the sweep at once;
 //! * **first-writer-wins dedup** — commits go through one critical
-//!   section: the first result for a block is recorded to the
-//!   checkpoint [`Ledger`] and merged; later duplicates are counted and
+//!   section: the first result for a block is merged and recorded to
+//!   the checkpoint [`Ledger`]; later duplicates are counted and
 //!   dropped. The ledger doubles as `kill -9` insurance for the
 //!   *coordinator*: a restarted sweep resumes from it byte-identically;
 //! * **quorum degrade** — below [`ClusterConfig::quorum`] healthy
@@ -37,10 +54,12 @@ use rap_core::Scheme;
 use rap_resilience::{Ledger, RetryPolicy};
 use rap_serve::handler::{self, Outcome};
 use rap_serve::protocol::{Request, Response};
+use rap_serve::Client;
 use rap_stats::{OnlineStats, RawOnlineStats, SeedDomain};
 use serde::{Deserialize, Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Distinct failures a block may accumulate before the coordinator stops
@@ -137,9 +156,9 @@ impl SweepCell {
         blocks_for(self.trials)
     }
 
-    fn request_line(&self, block: u64) -> String {
+    fn request_line(&self, id: u64, block: u64) -> String {
         format!(
-            r#"{{"cmd":"pattern_block","pattern":"{}","scheme":"{}","width":{},"trials":{},"block":{},"domain_state":{}}}"#,
+            r#"{{"cmd":"pattern_block","id":{id},"pattern":"{}","scheme":"{}","width":{},"trials":{},"block":{},"domain_state":{}}}"#,
             self.pattern.name(),
             self.scheme.name(),
             self.width,
@@ -188,6 +207,8 @@ pub struct ClusterReport {
     pub hedge_wasted: u64,
     /// Blocks requeued after a worker failure.
     pub requeued: u64,
+    /// Failed attempts charged to a block: one per failed window.
+    pub strikes: u64,
     /// Ledger appends that failed (results kept in memory regardless).
     pub append_failures: u64,
     /// True when any block ran in-process instead of on a worker.
@@ -225,6 +246,12 @@ struct Lease {
 /// `(cell index, block index)` — the unit of dispatch.
 type Item = (usize, u64);
 
+/// Requests a runner keeps outstanding on its connection. Deep enough to
+/// hide a loopback round trip and the worker's thread wakeup behind the
+/// blocks queued ahead of it; far below a server's default 64-slot queue,
+/// so a full window never sheds.
+const PIPELINE_DEPTH: usize = 8;
+
 #[derive(Default)]
 struct Counters {
     executed: u64,
@@ -233,6 +260,7 @@ struct Counters {
     hedged: u64,
     hedge_wasted: u64,
     requeued: u64,
+    strikes: u64,
     append_failures: u64,
 }
 
@@ -245,6 +273,49 @@ struct DispatchState {
     counters: Counters,
 }
 
+impl DispatchState {
+    fn lease(&mut self, it: Item, worker: usize, issued: Instant) {
+        self.leases.insert(it, Lease { worker, issued });
+    }
+
+    /// The oldest lease held by a worker other than `w`.
+    fn stalest_foreign(&self, w: usize) -> Option<(Item, Instant)> {
+        self.leases
+            .iter()
+            .filter(|&(_, l)| l.worker != w)
+            .min_by_key(|&(_, l)| l.issued)
+            .map(|(&it, l)| (it, l.issued))
+    }
+
+    /// Drop `w`'s lease on `it`; a lease another worker took over stays.
+    fn release(&mut self, w: usize, it: Item) {
+        if self.leases.get(&it).is_some_and(|l| l.worker == w) {
+            self.leases.remove(&it);
+        }
+    }
+
+    /// Put `it` back in the queue, unless it is done or another worker
+    /// already holds it (a re-dispatch or hedge is retrying it).
+    fn requeue(&mut self, w: usize, it: Item) {
+        if self.done.contains_key(&it) || self.leases.get(&it).is_some_and(|l| l.worker != w) {
+            return;
+        }
+        self.leases.remove(&it);
+        self.pending.push_back(it);
+        self.counters.requeued += 1;
+    }
+}
+
+/// The dispatch table of one sweep, and the condition idle runners wait
+/// on: it is signalled on every commit, every failed window and every
+/// runner exit.
+struct Dispatch<'a> {
+    cells: &'a [SweepCell],
+    ledger: &'a Ledger,
+    state: Mutex<DispatchState>,
+    changed: Condvar,
+}
+
 enum Next {
     Item(Item),
     Wait,
@@ -255,6 +326,71 @@ enum Next {
 enum Origin {
     Worker,
     Local,
+}
+
+impl Dispatch<'_> {
+    fn lock(&self) -> MutexGuard<'_, DispatchState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Commit one block result: the first writer is merged and recorded
+    /// to the ledger; duplicates (hedges, lease re-dispatch races) are
+    /// counted and dropped. This is the dedup point the whole fault model
+    /// leans on.
+    fn commit(&self, it: Item, stats: &OnlineStats, origin: Origin) {
+        let first = {
+            let mut s = self.lock();
+            s.leases.remove(&it);
+            let first = match s.done.entry(it) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(slot) => {
+                    slot.insert(stats.to_raw());
+                    true
+                }
+            };
+            let c = &mut s.counters;
+            match (first, origin) {
+                (false, _) => c.hedge_wasted += 1,
+                (true, Origin::Worker) => c.executed += 1,
+                (true, Origin::Local) => c.local_blocks += 1,
+            }
+            first
+        };
+        self.changed.notify_all();
+        // Entries are self-describing, so the append needs no lock.
+        if first
+            && self
+                .ledger
+                .record(&self.cells[it.0].key, it.1, stats)
+                .is_err()
+        {
+            self.lock().counters.append_failures += 1;
+        }
+    }
+
+    /// Charge one failed attempt to `struck` and requeue it with its
+    /// `innocent` co-flight items, which take no strike. True when
+    /// `struck` has struck out: the caller then resolves it in-process.
+    fn fail(&self, w: usize, struck: Item, innocent: impl Iterator<Item = Item>) -> bool {
+        let struck_out = {
+            let mut s = self.lock();
+            s.counters.strikes += 1;
+            let strikes = s.failures.entry(struck).or_insert(0);
+            *strikes += 1;
+            let struck_out = *strikes >= MAX_ITEM_STRIKES;
+            if struck_out {
+                s.release(w, struck);
+            } else {
+                s.requeue(w, struck);
+            }
+            for it in innocent {
+                s.requeue(w, it);
+            }
+            struck_out
+        };
+        self.changed.notify_all();
+        struck_out
+    }
 }
 
 /// A worker pool plus the policies to drive it (see the module docs).
@@ -379,14 +515,19 @@ impl Cluster {
             }
         }
         let total = done.len() + pending.len();
-        let st = Mutex::new(DispatchState {
-            pending,
-            leases: HashMap::new(),
-            done,
-            failures: HashMap::new(),
-            total,
-            counters: Counters::default(),
-        });
+        let d = Dispatch {
+            cells,
+            ledger,
+            state: Mutex::new(DispatchState {
+                pending,
+                leases: HashMap::new(),
+                done,
+                failures: HashMap::new(),
+                total,
+                counters: Counters::default(),
+            }),
+            changed: Condvar::new(),
+        };
 
         let healthy = self.healthy_workers();
         let mut report = ClusterReport {
@@ -402,24 +543,24 @@ impl Cluster {
             // Below quorum: serve the whole sweep in-process. The values
             // are bit-identical (same fold over the same blocks); only
             // the provenance changes.
-            Self::drain_locally(cells, ledger, &st);
+            Self::drain_locally(&d);
             report.degraded = true;
             report.source = "cluster-local".to_string();
         } else {
-            let st_ref = &st;
+            let d = &d;
             std::thread::scope(|scope| {
                 for w in 0..self.pool.len() {
-                    scope.spawn(move || self.runner(w, cells, ledger, st_ref));
+                    scope.spawn(move || self.runner(w, d));
                 }
             });
             // Everything still unresolved means every worker died
             // mid-sweep; finish in-process rather than fail.
-            if Self::drain_locally(cells, ledger, &st) > 0 {
+            if Self::drain_locally(d) > 0 {
                 report.degraded = true;
             }
         }
 
-        let s = st.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let s = d.state.into_inner().unwrap_or_else(PoisonError::into_inner);
         report.workers_died = self.pool.dead_workers() as u64;
         report.reconnects = self.pool.reconnects();
         report.executed = s.counters.executed;
@@ -428,6 +569,7 @@ impl Cluster {
         report.hedged = s.counters.hedged;
         report.hedge_wasted = s.counters.hedge_wasted;
         report.requeued = s.counters.requeued;
+        report.strikes = s.counters.strikes;
         report.append_failures = s.counters.append_failures;
         report.degraded = report.degraded || s.counters.local_blocks > 0;
 
@@ -446,128 +588,123 @@ impl Cluster {
         (merged, report)
     }
 
-    /// One worker's dispatch loop: claim, execute, commit; requeue and
-    /// reconnect on failure; exit when the sweep completes or the worker
-    /// is declared dead.
-    fn runner(&self, w: usize, cells: &[SweepCell], ledger: &Ledger, st: &Mutex<DispatchState>) {
+    /// One worker's dispatch loop, then the hand-back: a connection that
+    /// ended with nothing in flight is parked for the next sweep, and
+    /// idle runners are woken to re-check the table.
+    fn runner(&self, w: usize, d: &Dispatch<'_>) {
+        if let Some(conn) = self.pump(w, d) {
+            self.pool.slot(w).sweep = Some(conn);
+        }
+        d.changed.notify_all();
+    }
+
+    /// Keep up to [`PIPELINE_DEPTH`] blocks in flight on a connection this
+    /// runner owns, commit answers as they arrive (matched by id, in any
+    /// order), fail the whole window on any error and reconnect. Returns
+    /// when the sweep completes — with the connection, if no response is
+    /// outstanding on it — or when the worker is declared dead.
+    fn pump(&self, w: usize, d: &Dispatch<'_>) -> Option<Client> {
+        let mut conn = {
+            let mut slot = self.pool.slot(w);
+            if slot.dead {
+                return None;
+            }
+            slot.sweep.take()
+        };
+        let mut window: VecDeque<(u64, Item)> = VecDeque::with_capacity(PIPELINE_DEPTH);
+        let mut next_id = 0u64;
         loop {
-            let it = match self.next_item(w, st) {
-                Next::Done => return,
-                Next::Wait => {
-                    std::thread::sleep(Duration::from_millis(2));
-                    continue;
+            let mut failed = None;
+            while failed.is_none() && window.len() < PIPELINE_DEPTH {
+                let it = match self.next_item(w, d, window.is_empty()) {
+                    Next::Item(it) => it,
+                    Next::Wait => break,
+                    // Whatever is still in flight duplicates a committed
+                    // block; its unread answers make the connection unusable.
+                    Next::Done => return if window.is_empty() { conn } else { None },
+                };
+                window.push_back((next_id, it));
+                let line = d.cells[it.0].request_line(next_id, it.1);
+                next_id += 1;
+                if self.send(w, &mut conn, &line).is_err() {
+                    failed = Some(0);
                 }
-                Next::Item(it) => it,
-            };
-            let line = cells[it.0].request_line(it.1);
-            match self.execute_on(w, &line) {
-                Ok(raw) => {
-                    commit(
-                        st,
-                        ledger,
-                        cells,
-                        it,
-                        &OnlineStats::from_raw(&raw),
-                        Origin::Worker,
-                    );
-                }
-                Err(_) => {
-                    let strikes = note_failure(st, it);
-                    if strikes >= MAX_ITEM_STRIKES {
-                        // Three distinct failures look like a poisoned
-                        // item, not a dead worker: resolve it in-process
-                        // (bit-identical) so the sweep cannot livelock.
-                        let stats = cells[it.0].block_stats_local(it.1);
-                        commit(st, ledger, cells, it, &stats, Origin::Local);
-                    }
-                    if !self.reconnect(w) {
-                        return;
-                    }
+            }
+            if failed.is_none() {
+                let client = conn.as_mut().expect("a non-empty window has a connection");
+                failed = receive(d, client, &mut window);
+            }
+            if let Some(culprit) = failed {
+                conn = None;
+                fail_window(w, d, &mut window, culprit);
+                if !self.reconnect(w) {
+                    return None;
                 }
             }
         }
     }
 
     /// Claim the next unit of work for worker `w`: fresh work first, then
-    /// expired leases (presumed-dead holders), then — only while idle —
-    /// hedging the stalest in-flight block.
-    fn next_item(&self, w: usize, st: &Mutex<DispatchState>) -> Next {
-        let mut s = st.lock().unwrap_or_else(PoisonError::into_inner);
-        if s.done.len() == s.total {
-            return Next::Done;
+    /// expired leases (presumed-dead holders), then — only while `idle`,
+    /// with nothing in flight — hedging the stalest in-flight block.
+    ///
+    /// With nothing to claim, a busy runner gets [`Next::Wait`] and goes
+    /// back to reading its window; an idle one sleeps until the table
+    /// changes or the stalest foreign lease becomes hedgeable.
+    fn next_item(&self, w: usize, d: &Dispatch<'_>, idle: bool) -> Next {
+        let mut s = d.lock();
+        loop {
+            if s.done.len() == s.total {
+                return Next::Done;
+            }
+            let now = Instant::now();
+            if let Some(it) = s.pending.pop_front() {
+                s.lease(it, w, now);
+                return Next::Item(it);
+            }
+            let stalest = s.stalest_foreign(w);
+            if let Some((it, issued)) = stalest {
+                let age = now.duration_since(issued);
+                if age >= self.cfg.lease {
+                    s.counters.redispatched += 1;
+                    s.lease(it, w, now);
+                    return Next::Item(it);
+                }
+                if idle && age >= self.cfg.hedge_after {
+                    s.counters.hedged += 1;
+                    s.lease(it, w, now);
+                    return Next::Item(it);
+                }
+            }
+            if !idle {
+                return Next::Wait;
+            }
+            let first_deadline = self.cfg.hedge_after.min(self.cfg.lease);
+            let wait = stalest.map_or(first_deadline, |(_, issued)| {
+                (issued + first_deadline).saturating_duration_since(now)
+            });
+            s = d
+                .changed
+                .wait_timeout(s, wait)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let now = Instant::now();
-        if let Some(it) = s.pending.pop_front() {
-            s.leases.insert(
-                it,
-                Lease {
-                    worker: w,
-                    issued: now,
-                },
-            );
-            return Next::Item(it);
-        }
-        let steal = |leases: &HashMap<Item, Lease>, age: Duration| {
-            leases
-                .iter()
-                .filter(|&(_, l)| l.worker != w && now.duration_since(l.issued) >= age)
-                .min_by_key(|&(_, l)| l.issued)
-                .map(|(&it, _)| it)
-        };
-        if let Some(it) = steal(&s.leases, self.cfg.lease) {
-            s.counters.redispatched += 1;
-            s.leases.insert(
-                it,
-                Lease {
-                    worker: w,
-                    issued: now,
-                },
-            );
-            return Next::Item(it);
-        }
-        if let Some(it) = steal(&s.leases, self.cfg.hedge_after) {
-            s.counters.hedged += 1;
-            s.leases.insert(
-                it,
-                Lease {
-                    worker: w,
-                    issued: now,
-                },
-            );
-            return Next::Item(it);
-        }
-        Next::Wait
     }
 
-    /// One wire round-trip on worker `w`. Any failure drops the cached
-    /// connection so the next attempt reconnects from scratch.
-    fn execute_on(&self, w: usize, line: &str) -> Result<RawOnlineStats, String> {
-        let mut slot = self.pool.slot(w);
-        if slot.dead {
-            return Err("worker is dead".to_string());
-        }
-        slot.ensure_connected(self.cfg.request_timeout)
-            .map_err(|e| e.to_string())?;
-        let resp = match slot
-            .client
-            .as_mut()
-            .expect("just connected")
-            .roundtrip(line)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                slot.client = None;
-                return Err(e.to_string());
+    /// Send one request on the runner's own connection, opening it first
+    /// if there is none.
+    fn send(&self, w: usize, conn: &mut Option<Client>, line: &str) -> std::io::Result<()> {
+        let client = match conn {
+            Some(client) => client,
+            None => {
+                let addr = self.pool.slot(w).addr;
+                conn.insert(Client::connect_with_timeout(
+                    addr,
+                    self.cfg.request_timeout,
+                )?)
             }
         };
-        if !resp.ok {
-            let msg = resp.error.as_ref().map_or_else(
-                || "error response without error body".to_string(),
-                |e| format!("{}: {}", e.kind, e.message),
-            );
-            return Err(msg);
-        }
-        raw_from_response(&resp)
+        client.send(line)
     }
 
     /// Seeded-backoff reconnect; marks the worker dead when the budget is
@@ -591,11 +728,11 @@ impl Cluster {
     }
 
     /// Execute every unresolved block in-process. Returns how many.
-    fn drain_locally(cells: &[SweepCell], ledger: &Ledger, st: &Mutex<DispatchState>) -> u64 {
+    fn drain_locally(d: &Dispatch<'_>) -> u64 {
         let mut drained = 0u64;
         loop {
             let it = {
-                let mut s = st.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut s = d.lock();
                 if let Some(it) = s.pending.pop_front() {
                     Some(it)
                 } else {
@@ -607,56 +744,54 @@ impl Cluster {
                 }
             };
             let Some(it) = it else { break };
-            let stats = cells[it.0].block_stats_local(it.1);
-            commit(st, ledger, cells, it, &stats, Origin::Local);
+            let stats = d.cells[it.0].block_stats_local(it.1);
+            d.commit(it, &stats, Origin::Local);
             drained += 1;
         }
         drained
     }
 }
 
-/// Commit one block result: first writer records to the ledger and the
-/// merge map; duplicates (hedges, lease re-dispatch races) are counted
-/// and dropped. This is the dedup point the whole fault model leans on.
-fn commit(
-    st: &Mutex<DispatchState>,
-    ledger: &Ledger,
-    cells: &[SweepCell],
-    it: Item,
-    stats: &OnlineStats,
-    origin: Origin,
-) {
-    let mut s = st.lock().unwrap_or_else(PoisonError::into_inner);
-    s.leases.remove(&it);
-    if s.done.contains_key(&it) {
-        s.counters.hedge_wasted += 1;
-        return;
-    }
-    if ledger.record(&cells[it.0].key, it.1, stats).is_err() {
-        s.counters.append_failures += 1;
-    }
-    s.done.insert(it, stats.to_raw());
-    match origin {
-        Origin::Worker => s.counters.executed += 1,
-        Origin::Local => s.counters.local_blocks += 1,
-    }
+/// Read one response and commit the in-flight item it answers. `Some`
+/// names the window position to charge when the window has failed: the
+/// answered item for an error response, else the oldest (a dropped
+/// connection, a timeout or an answer matching no id names no item).
+fn receive(
+    d: &Dispatch<'_>,
+    client: &mut Client,
+    window: &mut VecDeque<(u64, Item)>,
+) -> Option<usize> {
+    let Ok(Some(resp)) = client.recv() else {
+        return Some(0);
+    };
+    let Some(pos) = resp
+        .id
+        .and_then(|id| window.iter().position(|&(sent, _)| sent == id))
+    else {
+        return Some(0);
+    };
+    let Some(raw) = resp.ok.then(|| raw_from_response(&resp)).flatten() else {
+        return Some(pos);
+    };
+    let (_, it) = window.remove(pos).expect("position is in the window");
+    d.commit(it, &OnlineStats::from_raw(&raw), Origin::Worker);
+    None
 }
 
-/// Record a failed attempt. Releases the lease and requeues the item
-/// unless it has struck out (the caller then resolves it locally).
-fn note_failure(st: &Mutex<DispatchState>, it: Item) -> u32 {
-    let mut s = st.lock().unwrap_or_else(PoisonError::into_inner);
-    s.leases.remove(&it);
-    let strikes = {
-        let e = s.failures.entry(it).or_insert(0);
-        *e += 1;
-        *e
-    };
-    if strikes < MAX_ITEM_STRIKES && !s.done.contains_key(&it) {
-        s.pending.push_back(it);
-        s.counters.requeued += 1;
+/// The failure rule: one failed request fails the whole window, but only
+/// `culprit` takes a strike; the rest are requeued without one, so a
+/// poisoned block cannot strike out its innocent co-flight blocks.
+fn fail_window(w: usize, d: &Dispatch<'_>, window: &mut VecDeque<(u64, Item)>, culprit: usize) {
+    let (_, struck) = window
+        .remove(culprit)
+        .expect("a failed window is non-empty");
+    if d.fail(w, struck, window.drain(..).map(|(_, it)| it)) {
+        // Three distinct failures look like a poisoned item, not a dead
+        // worker: resolve it in-process (bit-identical) so the sweep
+        // cannot livelock.
+        let stats = d.cells[struck.0].block_stats_local(struck.1);
+        d.commit(struck, &stats, Origin::Local);
     }
-    strikes
 }
 
 /// In-process fallback for a routed query: execute the handler directly
@@ -684,18 +819,8 @@ fn with_source(data: Value, source: &str) -> Value {
     Value::Object(pairs)
 }
 
-fn raw_from_response(resp: &Response) -> Result<RawOnlineStats, String> {
-    let data = resp
-        .data
-        .as_ref()
-        .ok_or_else(|| "ok response carried no data".to_string())?;
-    let pairs = data
-        .as_object()
-        .ok_or_else(|| "response data is not an object".to_string())?;
-    let raw = pairs
-        .iter()
-        .find(|(k, _)| k == "raw_stats")
-        .map(|(_, v)| v)
-        .ok_or_else(|| "response data is missing 'raw_stats'".to_string())?;
-    RawOnlineStats::from_value(raw).map_err(|_| "malformed 'raw_stats' payload".to_string())
+fn raw_from_response(resp: &Response) -> Option<RawOnlineStats> {
+    let pairs = resp.data.as_ref()?.as_object()?;
+    let (_, raw) = pairs.iter().find(|(k, _)| k == "raw_stats")?;
+    RawOnlineStats::from_value(raw).ok()
 }

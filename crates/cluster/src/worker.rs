@@ -36,6 +36,11 @@ enum Backend {
 pub(crate) struct WorkerSlot {
     pub(crate) addr: SocketAddr,
     pub(crate) client: Option<Client>,
+    /// The pipelined connection of this shard's sweep runner, parked
+    /// between sweeps. A runner takes it for the whole sweep, so no
+    /// other caller ever reads a response from it; probes and routed
+    /// queries use `client`.
+    pub(crate) sweep: Option<Client>,
     /// Set once the coordinator gives up on this shard.
     pub(crate) dead: bool,
     /// Successful reconnects after a dropped connection.
@@ -68,6 +73,7 @@ fn slot_for(addr: SocketAddr) -> Mutex<WorkerSlot> {
     Mutex::new(WorkerSlot {
         addr,
         client: None,
+        sweep: None,
         dead: false,
         reconnects: 0,
         migrating: false,

@@ -90,6 +90,11 @@ fn distributed_sweep_matches_single_process_bit_for_bit() {
         );
         assert_eq!(report.source, "cluster");
         assert_eq!(report.executed, report.blocks_total);
+        assert_eq!(report.local_blocks, 0, "{report:?}");
+        // Nothing failed or straggled: no strike, no re-dispatch, no hedge.
+        assert_eq!(report.strikes, 0, "{report:?}");
+        assert_eq!(report.redispatched, 0, "{report:?}");
+        assert_eq!(report.hedged, 0, "{report:?}");
         cluster.pool().shutdown();
     }
 }
@@ -415,4 +420,241 @@ fn a_worker_that_never_sends_a_newline_is_struck_and_its_blocks_redispatched() {
         "{report:?}"
     );
     real.shutdown();
+}
+
+/// One 40-block cell, enough for a full window on every shard.
+fn forty_blocks(tag: &str) -> (Vec<SweepCell>, Vec<OnlineStats>) {
+    let root = SeedDomain::new(2014).child(tag);
+    let cells = vec![SweepCell::new(
+        "Random/RAP/w=16",
+        MatrixPattern::Random,
+        Scheme::Rap,
+        16,
+        40 * 32,
+        &root,
+    )];
+    let truth = vec![matrix_congestion(
+        Scheme::Rap,
+        MatrixPattern::Random,
+        16,
+        40 * 32,
+        &root,
+    )];
+    (cells, truth)
+}
+
+/// A `health` answer with the given status (`"ok"` or `"draining"`).
+fn health_line(status: &str) -> String {
+    format!(
+        r#"{{"id":null,"ok":true,"degraded":false,"breaker":"closed","data":{{"status":"{status}"}},"error":null}}"#
+    )
+}
+
+/// A fake shard on loopback: every accepted connection runs `conn` on
+/// its own thread.
+fn fake_shard(conn: impl Fn(std::net::TcpStream) + Send + Sync + 'static) -> std::net::SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().expect("fake shard addr");
+    let conn = std::sync::Arc::new(conn);
+    std::thread::spawn(move || {
+        for stream in listener.incoming().map_while(Result::ok) {
+            let conn = std::sync::Arc::clone(&conn);
+            std::thread::spawn(move || conn(stream));
+        }
+    });
+    addr
+}
+
+/// Read request lines until `quiet` passes without one. `Ok(lines)`
+/// once the peer has gone quiet after at least one line (its window is
+/// full); `Err` when it hung up. `health` lines are answered inline
+/// with `health` and never collected.
+fn read_window(
+    reader: &mut std::io::BufReader<std::net::TcpStream>,
+    writer: &mut std::net::TcpStream,
+    health: &str,
+    quiet: Duration,
+) -> Result<Vec<String>, ()> {
+    use std::io::{BufRead, Write};
+    reader
+        .get_ref()
+        .set_read_timeout(Some(quiet))
+        .expect("set read timeout");
+    let mut lines = Vec::new();
+    let mut buf = Vec::new();
+    loop {
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => return Err(()),
+            Ok(_) if buf.ends_with(b"\n") => {
+                let line = String::from_utf8(std::mem::take(&mut buf)).expect("utf-8 request");
+                if line.contains(r#""health""#) {
+                    writeln!(writer, "{health}").map_err(|_| ())?;
+                } else {
+                    lines.push(line.trim_end().to_string());
+                }
+            }
+            // A partial line stays in `buf` until the rest arrives.
+            Ok(_) => {}
+            Err(_) if !lines.is_empty() => return Ok(lines),
+            Err(_) => {}
+        }
+    }
+}
+
+#[test]
+fn a_window_dropped_by_its_shard_is_requeued_with_one_strike() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let real = WorkerPool::in_process(1).expect("spawn worker");
+    // The fake takes one full window, closes the connection, and from
+    // then on reports itself draining, so the coordinator writes it off.
+    let windowed = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&windowed);
+    let fake = fake_shard(move |stream| {
+        let mut writer = stream.try_clone().expect("clone stream");
+        let mut reader = std::io::BufReader::new(stream);
+        loop {
+            let health = if seen.load(Ordering::SeqCst) == 0 {
+                health_line("ok")
+            } else {
+                health_line("draining")
+            };
+            match read_window(
+                &mut reader,
+                &mut writer,
+                &health,
+                Duration::from_millis(200),
+            ) {
+                Ok(window) if seen.load(Ordering::SeqCst) == 0 => {
+                    seen.store(window.len() as u64, Ordering::SeqCst);
+                    return;
+                }
+                Ok(_) => {}
+                Err(()) => return,
+            }
+        }
+    });
+    let pool = WorkerPool::connect(&[real.addrs()[0], fake]);
+    let cluster = Cluster::new(
+        pool,
+        ClusterConfig {
+            max_reconnects: 1,
+            ..fast_cfg()
+        },
+    );
+    let (cells, truth) = forty_blocks("e2e-dropped-window");
+    let (merged, report) = cluster.run_sweep(&cells, &Ledger::in_memory());
+    assert_bit_identical(&merged, &truth);
+    let window = windowed.load(Ordering::SeqCst);
+    assert!(
+        window > 1,
+        "the fake shard never saw a pipelined window: {report:?}"
+    );
+    // Every in-flight block went back to the queue; only one was
+    // charged for the failure.
+    assert_eq!(report.requeued, window, "{report:?}");
+    assert_eq!(report.strikes, 1, "{report:?}");
+    assert_eq!(report.workers_died, 1, "{report:?}");
+    assert_eq!(report.local_blocks, 0, "{report:?}");
+    assert_eq!(report.executed, report.blocks_total, "{report:?}");
+    real.shutdown();
+}
+
+#[test]
+fn answers_in_permuted_id_order_merge_bit_for_bit() {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    let real = WorkerPool::in_process(1).expect("spawn worker");
+    let backend = real.addrs()[0];
+    // The fake forwards each window to a real shard and writes the
+    // answers back in reverse order.
+    let reversed = Arc::new(AtomicU64::new(0));
+    let count = Arc::clone(&reversed);
+    let fake = fake_shard(move |stream| {
+        let mut writer = stream.try_clone().expect("clone stream");
+        let mut reader = std::io::BufReader::new(stream);
+        let mut upstream = rap_serve::Client::connect(backend).expect("connect backend");
+        let health = health_line("ok");
+        while let Ok(window) =
+            read_window(&mut reader, &mut writer, &health, Duration::from_millis(20))
+        {
+            let mut answers: Vec<String> = window
+                .iter()
+                .map(|line| {
+                    upstream.send(line).expect("forward request");
+                    upstream
+                        .recv_line()
+                        .expect("backend answer")
+                        .expect("backend open")
+                })
+                .collect();
+            if answers.len() > 1 {
+                count.fetch_add(1, Ordering::SeqCst);
+            }
+            answers.reverse();
+            for answer in answers {
+                if writeln!(writer, "{answer}").is_err() {
+                    return;
+                }
+            }
+        }
+    });
+    let cluster = Cluster::new(WorkerPool::connect(&[fake]), fast_cfg());
+    let (cells, truth) = forty_blocks("e2e-permuted");
+    let (merged, report) = cluster.run_sweep(&cells, &Ledger::in_memory());
+    assert_bit_identical(&merged, &truth);
+    assert!(
+        reversed.load(Ordering::SeqCst) >= 1,
+        "no window of two or more was ever answered out of order: {report:?}"
+    );
+    assert!(!report.degraded, "{report:?}");
+    assert_eq!(report.local_blocks, 0, "{report:?}");
+    assert_eq!(report.strikes, 0, "{report:?}");
+    assert_eq!(report.executed, report.blocks_total, "{report:?}");
+    real.shutdown();
+}
+
+#[test]
+fn routed_queries_during_a_sweep_are_all_answered() {
+    let pool = WorkerPool::in_process(2).expect("spawn workers");
+    let cluster = Cluster::new(pool, fast_cfg());
+    let (cells, truth) = forty_blocks("e2e-concurrent-query");
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|c| {
+                let cluster = &cluster;
+                scope.spawn(move || {
+                    for i in 0..200u64 {
+                        let line = format!(
+                            r#"{{"cmd":"congestion","id":{i},"width":8,"addresses":[{},8,1]}}"#,
+                            i % 8
+                        );
+                        let resp = cluster
+                            .query(&format!("key-{c}-{}", i % 5), &line)
+                            .expect("routed query");
+                        assert!(resp.ok && !resp.degraded, "query {i}: {resp:?}");
+                        assert_eq!(resp.id, Some(i), "query {i} got another answer");
+                    }
+                })
+            })
+            .collect();
+        // Sweep until every query is in, so the two always overlap.
+        loop {
+            let (merged, report) = cluster.run_sweep(&cells, &Ledger::in_memory());
+            assert_bit_identical(&merged, &truth);
+            assert_eq!(report.local_blocks, 0, "{report:?}");
+            assert!(!report.degraded, "{report:?}");
+            if clients
+                .iter()
+                .all(std::thread::ScopedJoinHandle::is_finished)
+            {
+                break;
+            }
+        }
+        for client in clients {
+            client.join().expect("query thread");
+        }
+    });
+    cluster.pool().shutdown();
 }

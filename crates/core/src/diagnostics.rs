@@ -9,6 +9,7 @@
 
 use crate::congestion::BankLoads;
 use crate::mapping::MatrixMapping;
+use std::fmt::Write as _;
 
 /// Render the physical arrangement of a `w × w` matrix under `mapping`:
 /// one line per physical row, each column being a bank, showing the
@@ -38,20 +39,23 @@ pub fn render_layout(mapping: &dyn MatrixMapping) -> String {
     }
     let cells = (w * w) as usize;
     let width = ((cells.max(2) - 1) as f64).log10() as usize + 1;
-    let mut out = String::new();
-    out.push_str(&format!("{} layout, w = {w}:\n", mapping.scheme()));
-    out.push_str(&format!("{:>pad$}", "", pad = 6));
+    // A title, then a header and `rows` lines of `w` cells of
+    // `width + 2` bytes each plus the row label: reserve it all once.
+    let mut out = String::with_capacity(32 + (rows as usize + 1) * (w as usize * (width + 2) + 16));
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "{} layout, w = {w}:", mapping.scheme());
+    out.push_str("      ");
     for b in 0..w {
-        out.push_str(&format!(" B{b:<width$}"));
+        let _ = write!(out, " B{b:<width$}");
     }
     out.push('\n');
     for row in 0..rows {
-        out.push_str(&format!("row {row:>2}"));
+        let _ = write!(out, "row {row:>2}");
         for col in 0..w {
-            match physical[(row * w + col) as usize] {
-                Some(v) => out.push_str(&format!(" {v:>width$} ")),
-                None => out.push_str(&format!(" {:>width$} ", "·")),
-            }
+            let _ = match physical[(row * w + col) as usize] {
+                Some(v) => write!(out, " {v:>width$} "),
+                None => write!(out, " {:>width$} ", "·"),
+            };
         }
         out.push('\n');
     }

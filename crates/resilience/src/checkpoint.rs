@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::journal::{fingerprint, SyncPolicy};
 
@@ -45,6 +46,7 @@ pub struct Ledger {
     journal: Journal,
     completed: HashMap<(String, u64), RawOnlineStats>,
     resumed_entries: usize,
+    recorded: AtomicU64,
 }
 
 impl Ledger {
@@ -81,6 +83,7 @@ impl Ledger {
             journal,
             completed,
             resumed_entries,
+            recorded: AtomicU64::new(0),
         })
     }
 
@@ -92,6 +95,7 @@ impl Ledger {
             journal: Journal::in_memory(),
             completed: HashMap::new(),
             resumed_entries: 0,
+            recorded: AtomicU64::new(0),
         }
     }
 
@@ -107,6 +111,13 @@ impl Ledger {
     #[must_use]
     pub fn resumed_entries(&self) -> usize {
         self.resumed_entries
+    }
+
+    /// Blocks recorded through this handle so far (successful appends):
+    /// a live progress count for whoever shares the ledger.
+    #[must_use]
+    pub fn recorded(&self) -> u64 {
+        self.recorded.load(Ordering::SeqCst)
     }
 
     /// True when an existing file was discarded because its fingerprint
@@ -136,7 +147,9 @@ impl Ledger {
             stats: stats.to_raw(),
         })
         .map_err(|e| json_err(&e))?;
-        self.journal.append(&line)
+        self.journal.append(&line)?;
+        self.recorded.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Delete the backing file — call after the final result has been
@@ -192,9 +205,15 @@ mod tests {
             ledger.record("cellA", 0, &a).unwrap();
             ledger.record("cellA", 3, &b).unwrap();
             ledger.record("cellB", 1, &a).unwrap();
+            assert_eq!(ledger.recorded(), 3);
         }
         let ledger = Ledger::open(&path, fp, SyncPolicy::Flush).unwrap();
         assert_eq!(ledger.resumed_entries(), 3);
+        assert_eq!(
+            ledger.recorded(),
+            0,
+            "resumed entries are not recorded anew"
+        );
         assert!(!ledger.discarded_stale());
         assert!(!ledger.truncated_tail());
         assert_eq!(ledger.completed("cellA", 0), Some(a));
@@ -287,8 +306,10 @@ mod tests {
         ));
         let err = ledger.record("c", 0, &stats_of(&[1.0])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(ledger.recorded(), 0, "a failed append is not counted");
         // Space freed: the next append lands.
         ledger.record("c", 0, &stats_of(&[1.0])).unwrap();
+        assert_eq!(ledger.recorded(), 1);
         drop(ledger);
         let reopened = Ledger::open(&path, fp, SyncPolicy::Flush).unwrap();
         assert_eq!(reopened.resumed_entries(), 1);
@@ -317,6 +338,7 @@ mod tests {
             None,
             "memory ledger is write-only"
         );
+        assert_eq!(ledger.recorded(), 1, "but it counts what it accepted");
     }
 
     #[test]

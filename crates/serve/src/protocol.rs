@@ -40,6 +40,10 @@ pub const MAX_SYNTHESIZE_WIDTH: usize = 512;
 /// width so one request cannot monopolise a worker for minutes.
 pub const MAX_TRANSPOSE_WIDTH: usize = 512;
 
+/// A `layout` response renders all `w²` cells as text; at this cap the
+/// response line is about 2.1 MB.
+pub const MAX_LAYOUT_WIDTH: usize = 512;
+
 /// Longest accepted `workload` spec string, in bytes: a plan costs a
 /// dozen-odd bytes, so this bounds the plan count without a separate
 /// knob.
@@ -284,6 +288,12 @@ impl Request {
             "layout" => {
                 let scheme = required_string(pairs, "scheme")?;
                 let width = width_field(pairs, 8)?;
+                if width > MAX_LAYOUT_WIDTH {
+                    return Err(format!(
+                        "layout renders every cell; width is capped at \
+                         {MAX_LAYOUT_WIDTH}, got {width}"
+                    ));
+                }
                 Command::Layout {
                     seed: seed_field(pairs)?,
                     scheme: scheme_at(&scheme, width)?,

@@ -63,10 +63,12 @@ fn static_lines() -> Vec<String> {
             r#"{"cmd":"pattern","pattern":"diagonal","scheme":"rap"}"#,
             r#"{"cmd":"transpose","kind":"CRSW","scheme":"Rap","width":8}"#,
             r#"{"cmd":"transpose","kind":"Drdw","scheme":"PADDED","width":12,"latency":0}"#,
-            // The exact line shape a rap-cluster sweep cell sends.
+            // The line shape a rap-cluster sweep cell sends (it now also
+            // carries the id its pipelined answer is matched by).
             r#"{"cmd":"pattern_block","pattern":"Contiguous","scheme":"RAP","width":16,"trials":64,"block":1,"domain_state":12345}"#,
             r#"{"cmd":"pattern_block","pattern":"Random","scheme":"RAS","width":32,"trials":100,"block":3,"domain_state":987654321}"#,
             r#"{"cmd":"pattern_block","pattern":"Stride","scheme":"RAW","width":16,"trials":32,"block":0,"domain_state":7}"#,
+            r#"{"cmd":"pattern_block","id":17,"pattern":"random","scheme":"rap","width":16,"trials":96,"block":2,"domain_state":4242}"#,
             // congestion / analyze / synthesize
             r#"{"cmd":"congestion","width":4,"addresses":[0,4,8,1]}"#,
             r#"{"cmd":"congestion","id":3,"addresses":[0,32,64,96]}"#,
@@ -108,6 +110,9 @@ fn static_lines() -> Vec<String> {
             r#"{"cmd":"pattern_block","pattern":"random","scheme":"Xor","width":8,"trials":32,"block":0}"#,
             // Transpose width cap.
             r#"{"cmd":"transpose","kind":"crsw","scheme":"rap","width":513}"#,
+            // Layout width cap.
+            r#"{"cmd":"layout","scheme":"rap","width":513}"#,
+            r#"{"cmd":"layout","id":4,"scheme":"padded","width":4096}"#,
             // Structural errors, checked before any name.
             r#"{"cmd":"layout","scheme":"zzz","width":0}"#,
             r#"{"cmd":"pattern","pattern":"zigzag","scheme":1}"#,

@@ -102,17 +102,22 @@ fn malformed_requests_get_contextual_structured_errors() {
     let handle = live_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    for (line, needle) in [
+    let malformed = [
         ("this is not json", "bad_request"),
         (r#"{"cmd":"frobnicate"}"#, "unknown"),
         (r#"{"cmd":"congestion","width":8}"#, "addresses"),
         (r#"{"cmd":"layout","scheme":"rap","width":0}"#, "width"),
         (r#"{"cmd":"layout","scheme":"rap","width":4097}"#, "width"),
         (
+            r#"{"cmd":"layout","scheme":"rap","width":513}"#,
+            "capped at 512",
+        ),
+        (
             r#"{"cmd":"pattern","pattern":"zigzag","scheme":"rap","width":8}"#,
             "zigzag",
         ),
-    ] {
+    ];
+    for (line, needle) in malformed {
         let r = client.roundtrip(line).expect("roundtrip");
         assert!(!r.ok, "{line} should fail");
         let err = r.error.as_ref().expect("error body");
@@ -130,6 +135,7 @@ fn malformed_requests_get_contextual_structured_errors() {
     handle.begin_shutdown();
     let report = handle.join();
     assert!(report.metrics.conserves_responses());
+    assert_eq!(report.metrics.bad_requests, malformed.len() as u64);
 }
 
 /// A request that cannot finish inside its deadline is answered anyway:
