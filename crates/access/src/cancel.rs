@@ -10,7 +10,8 @@
 //! microseconds, not blocks.
 //!
 //! Determinism is preserved on the surviving prefix: a cancelled run
-//! merges exactly the blocks that completed, in block-index order, so
+//! merges exactly the blocks that completed — the first
+//! `completed_blocks` of the run — in block-index order, so
 //! any non-cancelled run remains bit-identical to the plain engine and
 //! a cancelled one is an honestly-labelled partial result
 //! ([`PartialStats::cancelled`]), never a silently truncated estimate.

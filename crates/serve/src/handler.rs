@@ -73,6 +73,14 @@ fn raw_stats_value(raw: &rap_stats::RawOnlineStats) -> Value {
 /// the `serve.handler` failpoint (and any real handler bug) may panic —
 /// as may the `adapt.*` epoch failpoints reached through `adapt` on
 /// `pattern scheme:"adaptive"` and `adapt_force` requests.
+///
+/// Every handler runs on the calling thread — in the server, the worker
+/// that dequeued the job — and never fans out: the worker pool is the
+/// only parallelism on the request path, so a request costs no thread
+/// spawns. What this gives up: one very large `pattern` on an idle
+/// server uses one core, not all of them. Large sweeps belong on
+/// `rap cluster`, which shards them into `pattern_block`s across
+/// workers.
 #[must_use]
 pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveController>) -> Outcome {
     // The chaos injection point: panics unwind to the worker's isolation

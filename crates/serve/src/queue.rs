@@ -16,7 +16,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,42 +98,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Like [`Self::pop`] but gives up at `deadline`, returning `None`
-    /// without closing (callers distinguish via [`Self::is_closed`]).
-    pub fn pop_until(&self, deadline: Instant) -> Option<T> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timeout) = self
-                .ready
-                .wait_timeout(
-                    inner,
-                    deadline.duration_since(now).min(Duration::from_millis(50)),
-                )
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            inner = guard;
-        }
-    }
-
     /// Close the queue: reject new pushes, wake all blocked consumers.
     pub fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
-    }
-
-    /// Whether [`Self::close`] has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Jobs currently waiting.
@@ -161,6 +128,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn push_pop_is_fifo() {
@@ -223,16 +191,6 @@ mod tests {
         assert_eq!(q.drain_remaining(), vec![0, 1, 2, 3, 4]);
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_until_times_out_without_closing() {
-        let q = BoundedQueue::<u32>::new(2);
-        let start = Instant::now();
-        let got = q.pop_until(Instant::now() + Duration::from_millis(40));
-        assert_eq!(got, None);
-        assert!(start.elapsed() >= Duration::from_millis(35));
-        assert!(!q.is_closed());
     }
 
     #[test]

@@ -328,11 +328,8 @@ fn run_with_isolation(shared: &Arc<Shared>, job: &Job) {
             );
             return;
         }
-        let cmd = job.request.cmd.clone();
-        let exec_token = token.clone();
-        let adapt = shared.adapt.clone();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            handler::execute(&cmd, &exec_token, adapt.as_deref())
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handler::execute(&job.request.cmd, &token, shared.adapt.as_deref())
         }));
         match result {
             Ok(Outcome::Ok(data)) => {
