@@ -154,6 +154,27 @@ fn adaptive_lines(synth: &str) -> Vec<String> {
     lines
 }
 
+/// The deterministic commands at the shapes serve-mix sends them: every
+/// `layout` scheme and the `raw`/`ras`/`rap` transposes at w = 32 (latency
+/// 8), and `analyze` at w = 16.
+fn serve_mix_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for scheme in SCHEMES {
+        lines.push(format!(
+            r#"{{"cmd":"layout","scheme":"{scheme}","width":32,"seed":77}}"#
+        ));
+    }
+    for kind in KINDS {
+        for scheme in ["raw", "ras", "rap"] {
+            lines.push(format!(
+                r#"{{"cmd":"transpose","kind":"{kind}","scheme":"{scheme}","width":32,"latency":8,"seed":123}}"#
+            ));
+        }
+    }
+    lines.push(r#"{"cmd":"analyze","width":16}"#.to_string());
+    lines
+}
+
 fn render(out: &mut String, line: &str, adapt: Option<&AdaptiveController>) {
     let response = match Request::parse(line) {
         Err(message) => Response::error(None, "closed", ErrorKind::BadRequest, message),
@@ -194,6 +215,9 @@ fn wire_responses_match_the_golden_corpus() {
         .expect("a synthesized candidate");
     for line in adaptive_lines(&synth) {
         render(&mut actual, &line, Some(&ctl));
+    }
+    for line in serve_mix_lines() {
+        render(&mut actual, &line, None);
     }
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire.txt");
     let expected = std::fs::read_to_string(golden_path).unwrap_or_default();
