@@ -43,7 +43,6 @@
 use crate::ir::{AffineWarp, AnalyzeError};
 use rap_core::Scheme;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A concrete instantiation attaining the proven maximum `hi`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -174,6 +173,81 @@ impl Prover {
         cells: &[(u32, u32)],
         scheme: Scheme,
     ) -> Result<Analysis, AnalyzeError> {
+        let unique = self.unique_cells(cells, scheme)?;
+        if unique.is_empty() {
+            return Ok(Analysis {
+                scheme,
+                width: self.width,
+                lanes: cells.len(),
+                unique_cells: 0,
+                rows_touched: 0,
+                lo: 0,
+                hi: 0,
+                reason: "empty access: no requests, congestion 0".into(),
+                witness: None,
+            });
+        }
+        let rows: Vec<&[Cell]> = unique.chunk_by(|a, b| a.i == b.i).collect();
+        let lo_pigeonhole = self.pigeonhole(&unique);
+        let analysis = match scheme {
+            Scheme::Raw | Scheme::Xor | Scheme::Padded => {
+                self.analyze_deterministic(scheme, &unique)
+            }
+            Scheme::Ras => self.analyze_ras(&rows, lo_pigeonhole),
+            Scheme::Rap => self.analyze_rap(&rows, lo_pigeonhole),
+        };
+        Ok(Analysis {
+            scheme,
+            width: self.width,
+            lanes: cells.len(),
+            unique_cells: unique.len(),
+            rows_touched: rows.len(),
+            ..analysis
+        })
+    }
+
+    /// The `(lo, hi)` interval of [`Prover::analyze`], without building
+    /// the witness or the proof sketch.
+    pub(crate) fn bounds(
+        &self,
+        warp: &AffineWarp,
+        scheme: Scheme,
+    ) -> Result<(u32, u32), AnalyzeError> {
+        let cells = warp.cells(self.width)?;
+        let unique = self.unique_cells(&cells, scheme)?;
+        if unique.is_empty() {
+            return Ok((0, 0));
+        }
+        let lo = self.pigeonhole(&unique);
+        let rows = || unique.chunk_by(|a, b| a.i == b.i);
+        Ok(match scheme {
+            Scheme::Raw | Scheme::Xor | Scheme::Padded => {
+                let c = self.fixed_loads(scheme, &unique).1;
+                (c, c)
+            }
+            Scheme::Ras => {
+                let hi = rows().count() as u32;
+                (lo.min(hi), hi)
+            }
+            Scheme::Rap => {
+                let rows: Vec<&[Cell]> = rows().collect();
+                let hi = max_matching(&rows, self.width).0 as u32;
+                (lo.min(hi), hi)
+            }
+        })
+    }
+
+    /// Validate `cells` for `scheme` and merge them: the distinct cells,
+    /// sorted by row then column, each with the first lane touching it.
+    ///
+    /// CRCW dedup is by *cell*: every scheme here maps cells injectively,
+    /// so duplicate cells merge and distinct cells never do, whatever the
+    /// shift table.
+    fn unique_cells(
+        &self,
+        cells: &[(u32, u32)],
+        scheme: Scheme,
+    ) -> Result<Vec<Cell>, AnalyzeError> {
         let w = self.width as u32;
         for (lane, &(i, j)) in cells.iter().enumerate() {
             if i >= w || j >= w {
@@ -187,53 +261,20 @@ impl Prover {
         if scheme == Scheme::Xor && (self.width < 2 || !self.width.is_power_of_two()) {
             return Err(AnalyzeError::XorNeedsPow2 { width: self.width });
         }
+        let mut unique: Vec<Cell> = cells
+            .iter()
+            .zip(0u32..)
+            .map(|(&(i, j), lane)| Cell { i, j, lane })
+            .collect();
+        // Sorting by (i, j, lane) puts each cell's first lane first.
+        unique.sort_unstable();
+        unique.dedup_by_key(|c| (c.i, c.j));
+        Ok(unique)
+    }
 
-        // CRCW dedup by *cell*: every scheme here maps cells injectively,
-        // so duplicate cells merge and distinct cells never do, whatever
-        // the shift table. `first_lane` keeps one representative lane per
-        // unique cell for witness construction.
-        let mut first_lane: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for (lane, &cell) in cells.iter().enumerate() {
-            first_lane.entry(cell).or_insert(lane as u32);
-        }
-        let unique = first_lane.len();
-        if unique == 0 {
-            return Ok(Analysis {
-                scheme,
-                width: self.width,
-                lanes: cells.len(),
-                unique_cells: 0,
-                rows_touched: 0,
-                lo: 0,
-                hi: 0,
-                reason: "empty access: no requests, congestion 0".into(),
-                witness: None,
-            });
-        }
-
-        // Distinct columns per touched row.
-        let mut rows: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for &(i, j) in first_lane.keys() {
-            rows.entry(i).or_default().push(j);
-        }
-        let rows_touched = rows.len();
-        let lo_pigeonhole = (unique as u32).div_ceil(w).max(1);
-
-        let analysis = match scheme {
-            Scheme::Raw | Scheme::Xor | Scheme::Padded => {
-                self.analyze_deterministic(scheme, cells, &first_lane, rows_touched)
-            }
-            Scheme::Ras => self.analyze_ras(&rows, &first_lane, lo_pigeonhole),
-            Scheme::Rap => self.analyze_rap(&rows, &first_lane, lo_pigeonhole),
-        };
-        Ok(Analysis {
-            scheme,
-            width: self.width,
-            lanes: cells.len(),
-            unique_cells: unique,
-            rows_touched,
-            ..analysis
-        })
+    /// The pigeonhole lower bound `max(1, ⌈U / w⌉)` over `U` unique cells.
+    fn pigeonhole(&self, unique: &[Cell]) -> u32 {
+        (unique.len() as u32).div_ceil(self.width as u32).max(1)
     }
 
     /// Fixed bank of a cell under the deterministic schemes.
@@ -250,26 +291,27 @@ impl Prover {
         }
     }
 
+    /// The hottest bank under a deterministic scheme (the highest-numbered
+    /// one on a tie) and its load.
+    fn fixed_loads(&self, scheme: Scheme, unique: &[Cell]) -> (u32, u32) {
+        let mut loads = vec![0u32; self.width];
+        for c in unique {
+            loads[self.fixed_bank(scheme, c.i, c.j) as usize] += 1;
+        }
+        let hot = (0..self.width as u32)
+            .max_by_key(|&b| loads[b as usize])
+            .unwrap_or(0);
+        (hot, loads[hot as usize])
+    }
+
     /// RAW / XOR / Padded: the shift table carries no free variables, so
     /// the congestion is a single evaluated value.
-    fn analyze_deterministic(
-        &self,
-        scheme: Scheme,
-        cells: &[(u32, u32)],
-        first_lane: &BTreeMap<(u32, u32), u32>,
-        _rows_touched: usize,
-    ) -> Analysis {
-        let w = self.width as u32;
-        let mut loads = vec![0u32; self.width];
-        for &(i, j) in first_lane.keys() {
-            loads[self.fixed_bank(scheme, i, j) as usize] += 1;
-        }
-        let hot = (0..w).max_by_key(|&b| loads[b as usize]).unwrap_or(0);
-        let c = loads[hot as usize];
-        let lanes: Vec<u32> = first_lane
+    fn analyze_deterministic(&self, scheme: Scheme, unique: &[Cell]) -> Analysis {
+        let (hot, c) = self.fixed_loads(scheme, unique);
+        let lanes: Vec<u32> = unique
             .iter()
-            .filter(|(&(i, j), _)| self.fixed_bank(scheme, i, j) == hot)
-            .map(|(_, &lane)| lane)
+            .filter(|cell| self.fixed_bank(scheme, cell.i, cell.j) == hot)
+            .map(|cell| cell.lane)
             .collect();
         let shifts = if scheme == Scheme::Raw {
             vec![0; self.width]
@@ -279,8 +321,8 @@ impl Prover {
         Analysis {
             scheme,
             width: self.width,
-            lanes: cells.len(),
-            unique_cells: first_lane.len(),
+            lanes: 0,
+            unique_cells: 0,
             rows_touched: 0,
             lo: c,
             hi: c,
@@ -297,21 +339,16 @@ impl Prover {
 
     /// RAS: shifts are i.i.d. and unconstrained, so the adversarial
     /// maximum is exactly the number of touched rows.
-    fn analyze_ras(
-        &self,
-        rows: &BTreeMap<u32, Vec<u32>>,
-        first_lane: &BTreeMap<(u32, u32), u32>,
-        lo: u32,
-    ) -> Analysis {
+    fn analyze_ras(&self, rows: &[&[Cell]], lo: u32) -> Analysis {
         let w = self.width as u32;
         let hi = rows.len() as u32;
         let mut shifts = vec![0u32; self.width];
         let mut lanes = Vec::with_capacity(rows.len());
-        for (&i, cols) in rows {
+        for row in rows {
             // Align this row's first touched column onto bank 0.
-            let j = cols[0];
-            shifts[i as usize] = (w - j) % w;
-            lanes.push(first_lane[&(i, j)]);
+            let first = row[0];
+            shifts[first.i as usize] = (w - first.j) % w;
+            lanes.push(first.lane);
         }
         let reason = if hi <= 1 {
             "single touched row: within-row banks are pairwise distinct under every shift table"
@@ -343,20 +380,9 @@ impl Prover {
     /// matching between touched rows and compatible shift values; the
     /// maximum matching (bank-independent by translation symmetry) is
     /// the exact adversarial congestion.
-    fn analyze_rap(
-        &self,
-        rows: &BTreeMap<u32, Vec<u32>>,
-        first_lane: &BTreeMap<(u32, u32), u32>,
-        lo: u32,
-    ) -> Analysis {
+    fn analyze_rap(&self, rows: &[&[Cell]], lo: u32) -> Analysis {
         let w = self.width as u32;
-        let row_ids: Vec<u32> = rows.keys().copied().collect();
-        // Compatible shift values for bank 0: v ∈ (0 − J_i) mod w.
-        let compat: Vec<Vec<u32>> = row_ids
-            .iter()
-            .map(|i| rows[i].iter().map(|&j| (w - j) % w).collect())
-            .collect();
-        let (matched, value_owner) = max_matching(&compat, self.width);
+        let (matched, value_owner) = max_matching(rows, self.width);
         let hi = matched as u32;
 
         // Complete the matching into a full permutation: matched rows
@@ -366,12 +392,15 @@ impl Prover {
         let mut lanes = Vec::with_capacity(matched);
         for (v, owner) in value_owner.iter().enumerate() {
             if let Some(r) = owner {
-                let i = row_ids[*r];
-                shifts[i as usize] = v as u32;
+                let row = rows[*r];
+                shifts[row[0].i as usize] = v as u32;
                 taken[v] = true;
                 // The touched column this value aligns onto bank 0.
                 let j = (w - v as u32) % w;
-                lanes.push(first_lane[&(i, j)]);
+                let k = row
+                    .binary_search_by_key(&j, |c| c.j)
+                    .expect("a matched value comes from a touched column");
+                lanes.push(row[k].lane);
             }
         }
         let mut free = (0..w).filter(|&v| !taken[v as usize]);
@@ -413,15 +442,25 @@ impl Prover {
     }
 }
 
-/// Kuhn's augmenting-path maximum bipartite matching between rows
-/// (`compat` index) and shift values `0..width`. Returns the matching
-/// size and, per value, the row owning it.
-fn max_matching(compat: &[Vec<u32>], width: usize) -> (usize, Vec<Option<usize>>) {
+/// A distinct cell `(i, j)` and the first lane touching it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Cell {
+    i: u32,
+    j: u32,
+    lane: u32,
+}
+
+/// Kuhn's augmenting-path maximum bipartite matching between touched rows
+/// and shift values `0..width`, where row `r` is compatible with the
+/// values `(w − j) mod w` of its columns `j` (those aligning it onto bank
+/// 0). Returns the matching size and, per value, the row owning it.
+fn max_matching(rows: &[&[Cell]], width: usize) -> (usize, Vec<Option<usize>>) {
     let mut value_owner: Vec<Option<usize>> = vec![None; width];
+    let mut visited = vec![false; width];
     let mut matched = 0;
-    for r in 0..compat.len() {
-        let mut visited = vec![false; width];
-        if augment(r, compat, &mut value_owner, &mut visited) {
+    for r in 0..rows.len() {
+        visited.fill(false);
+        if augment(r, rows, width as u32, &mut value_owner, &mut visited) {
             matched += 1;
         }
     }
@@ -430,18 +469,19 @@ fn max_matching(compat: &[Vec<u32>], width: usize) -> (usize, Vec<Option<usize>>
 
 fn augment(
     r: usize,
-    compat: &[Vec<u32>],
+    rows: &[&[Cell]],
+    w: u32,
     value_owner: &mut [Option<usize>],
     visited: &mut [bool],
 ) -> bool {
-    for &v in &compat[r] {
-        let v = v as usize;
+    for cell in rows[r] {
+        let v = ((w - cell.j) % w) as usize;
         if visited[v] {
             continue;
         }
         visited[v] = true;
         let displaced = value_owner[v];
-        if displaced.is_none() || augment(displaced.unwrap(), compat, value_owner, visited) {
+        if displaced.is_none() || augment(displaced.unwrap(), rows, w, value_owner, visited) {
             value_owner[v] = Some(r);
             return true;
         }
@@ -659,5 +699,39 @@ mod tests {
             .unwrap();
         let s = a.to_string();
         assert!(s.contains("congestion in [1, 1]"), "{s}");
+    }
+
+    #[test]
+    fn bounds_match_the_full_analysis() {
+        for w in [1usize, 2, 3, 4, 6, 8, 12, 16, 32] {
+            let p = prover(w);
+            let wu = w as u64;
+            let mut warps = Vec::new();
+            for k in 0..wu {
+                warps.push(AffineWarp::contiguous(k, w));
+                warps.push(AffineWarp::column(k, w));
+                warps.push(AffineWarp::diagonal(k, w));
+                warps.push(AffineWarp::broadcast(k, wu - 1 - k, w));
+            }
+            for s in 1..=wu {
+                for lanes in [1, w / 2, w] {
+                    let last = s * (lanes.max(1) as u64 - 1);
+                    if last < wu * wu {
+                        warps.push(AffineWarp::flat_stride(s, 0, lanes));
+                    }
+                }
+            }
+            for warp in &warps {
+                for scheme in Scheme::extended() {
+                    let full = p.analyze(warp, scheme);
+                    let lean = p.bounds(warp, scheme);
+                    match (full, lean) {
+                        (Ok(a), Ok(b)) => assert_eq!((a.lo, a.hi), b, "{warp} {scheme} w={w}"),
+                        (Err(a), Err(b)) => assert_eq!(a, b),
+                        (a, b) => panic!("{warp} {scheme} w={w}: {a:?} vs {b:?}"),
+                    }
+                }
+            }
+        }
     }
 }

@@ -90,6 +90,18 @@ impl std::fmt::Display for TheoremReport {
 /// # Errors
 /// [`AnalyzeError::ZeroWidth`] if `width == 0`.
 pub fn certify_theorem1(width: usize) -> Result<TheoremReport, AnalyzeError> {
+    certify_theorem1_until(width, &|| false).map(|r| r.expect("never stopped"))
+}
+
+/// [`certify_theorem1`], polling `should_stop` before every prover call
+/// and answering `Ok(None)` as soon as it returns `true`.
+///
+/// # Errors
+/// As [`certify_theorem1`].
+pub fn certify_theorem1_until(
+    width: usize,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<Option<TheoremReport>, AnalyzeError> {
     let prover = Prover::new(width)?;
     let w = width as u64;
     let mut claims = Vec::new();
@@ -101,9 +113,12 @@ pub fn certify_theorem1(width: usize) -> Result<TheoremReport, AnalyzeError> {
         let mut worst_hi = 0u32;
         let mut worst_lo = u32::MAX;
         for row in 0..w {
-            let a = prover.analyze(&AffineWarp::contiguous(row, width), scheme)?;
-            worst_hi = worst_hi.max(a.hi);
-            worst_lo = worst_lo.min(a.lo);
+            if should_stop() {
+                return Ok(None);
+            }
+            let (lo, hi) = prover.bounds(&AffineWarp::contiguous(row, width), scheme)?;
+            worst_hi = worst_hi.max(hi);
+            worst_lo = worst_lo.min(lo);
         }
         claims.push(Claim {
             description: format!(
@@ -116,15 +131,18 @@ pub fn certify_theorem1(width: usize) -> Result<TheoremReport, AnalyzeError> {
         });
     }
     // Contrast: the un-randomized column access RAW is meant to fix.
-    let raw_col = prover.analyze(&AffineWarp::column(0, width), Scheme::Raw)?;
+    if should_stop() {
+        return Ok(None);
+    }
+    let (lo, hi) = prover.bounds(&AffineWarp::column(0, width), Scheme::Raw)?;
     claims.push(Claim {
         description: format!("column access under RAW saturates one bank (congestion = w = {w})"),
         scheme: Scheme::Raw,
-        lo: raw_col.lo,
-        hi: raw_col.hi,
-        proven: raw_col.exact() && raw_col.hi == width as u32,
+        lo,
+        hi,
+        proven: lo == hi && hi == width as u32,
     });
-    Ok(TheoremReport::seal("theorem1", width, claims))
+    Ok(Some(TheoremReport::seal("theorem1", width, claims)))
 }
 
 /// Theorem 2 (column access under RAP): every full-warp column access is
@@ -138,6 +156,18 @@ pub fn certify_theorem1(width: usize) -> Result<TheoremReport, AnalyzeError> {
 /// # Errors
 /// [`AnalyzeError::ZeroWidth`] if `width == 0`.
 pub fn certify_theorem2(width: usize) -> Result<TheoremReport, AnalyzeError> {
+    certify_theorem2_until(width, &|| false).map(|r| r.expect("never stopped"))
+}
+
+/// [`certify_theorem2`], polling `should_stop` before every prover call
+/// and answering `Ok(None)` as soon as it returns `true`.
+///
+/// # Errors
+/// As [`certify_theorem2`].
+pub fn certify_theorem2_until(
+    width: usize,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<Option<TheoremReport>, AnalyzeError> {
     let prover = Prover::new(width)?;
     let w = width as u64;
     let mut claims = Vec::new();
@@ -145,9 +175,12 @@ pub fn certify_theorem2(width: usize) -> Result<TheoremReport, AnalyzeError> {
     let mut worst_hi = 0u32;
     let mut worst_lo = u32::MAX;
     for col in 0..w {
-        let a = prover.analyze(&AffineWarp::column(col, width), Scheme::Rap)?;
-        worst_hi = worst_hi.max(a.hi);
-        worst_lo = worst_lo.min(a.lo);
+        if should_stop() {
+            return Ok(None);
+        }
+        let (lo, hi) = prover.bounds(&AffineWarp::column(col, width), Scheme::Rap)?;
+        worst_hi = worst_hi.max(hi);
+        worst_lo = worst_lo.min(lo);
     }
     claims.push(Claim {
         description: format!(
@@ -163,7 +196,10 @@ pub fn certify_theorem2(width: usize) -> Result<TheoremReport, AnalyzeError> {
         if !w.is_multiple_of(s) {
             continue;
         }
-        let a = prover.analyze(&AffineWarp::flat_stride(s, 0, width), Scheme::Rap)?;
+        if should_stop() {
+            return Ok(None);
+        }
+        let (lo, hi) = prover.bounds(&AffineWarp::flat_stride(s, 0, width), Scheme::Rap)?;
         let expected = rap_dividing_stride_max(width, s);
         let cf = rap_stride_conflict_free_for_all(width, s);
         claims.push(Claim {
@@ -177,24 +213,27 @@ pub fn certify_theorem2(width: usize) -> Result<TheoremReport, AnalyzeError> {
                 }
             ),
             scheme: Scheme::Rap,
-            lo: a.lo,
-            hi: a.hi,
-            proven: a.hi == expected && cf == (a.hi <= 1),
+            lo,
+            hi,
+            proven: hi == expected && cf == (hi <= 1),
         });
     }
     // Contrast: RAS without the permutation constraint is defenseless
     // against an adversarial shift table on the same column access.
-    let ras_col = prover.analyze(&AffineWarp::column(0, width), Scheme::Ras)?;
+    if should_stop() {
+        return Ok(None);
+    }
+    let (lo, hi) = prover.bounds(&AffineWarp::column(0, width), Scheme::Ras)?;
     claims.push(Claim {
         description: format!(
             "column access under RAS can reach congestion w = {w} for an adversarial shift table"
         ),
         scheme: Scheme::Ras,
-        lo: ras_col.lo,
-        hi: ras_col.hi,
-        proven: ras_col.hi == width as u32,
+        lo,
+        hi,
+        proven: hi == width as u32,
     });
-    Ok(TheoremReport::seal("theorem2", width, claims))
+    Ok(Some(TheoremReport::seal("theorem2", width, claims)))
 }
 
 #[cfg(test)]
@@ -251,5 +290,33 @@ mod tests {
         let back: TheoremReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
         assert!(r.to_string().contains("PROVEN"));
+    }
+
+    #[test]
+    fn a_stop_request_ends_certification_before_the_next_prover_call() {
+        use std::cell::Cell;
+        for w in [1usize, 4, 16] {
+            let t1 = certify_theorem1(w).unwrap();
+            let t2 = certify_theorem2(w).unwrap();
+            assert_eq!(certify_theorem1_until(w, &|| false).unwrap(), Some(t1));
+            assert_eq!(certify_theorem2_until(w, &|| false).unwrap(), Some(t2));
+            if w == 1 {
+                continue; // Theorem 2 makes only three prover calls at w = 1.
+            }
+            let polls = Cell::new(0);
+            let stop_after_three = || {
+                polls.set(polls.get() + 1);
+                polls.get() > 3
+            };
+            assert_eq!(certify_theorem1_until(w, &stop_after_three).unwrap(), None);
+            assert_eq!(polls.get(), 4, "w = {w}");
+            polls.set(0);
+            assert_eq!(certify_theorem2_until(w, &stop_after_three).unwrap(), None);
+            assert_eq!(polls.get(), 4, "w = {w}");
+        }
+        assert_eq!(
+            certify_theorem1_until(0, &|| true).unwrap_err(),
+            AnalyzeError::ZeroWidth
+        );
     }
 }

@@ -9,7 +9,7 @@ use crate::adapt_oracle::AdaptOracle;
 use crate::cluster_oracle::ClusterOracle;
 use crate::fused_oracle::FusedKernelOracle;
 use crate::kernels::{AnalyzePath, FreeFnPath, KernelOracle, MergedAccessPath, ScratchPath};
-use crate::machine::{DmmTimingOracle, UmmRowsOracle};
+use crate::machine::{DmmFastVsNaiveOracle, DmmTimingOracle, UmmRowsOracle};
 use crate::mapping_oracle::MappingAlgebraOracle;
 use crate::oracle::{Divergence, Oracle};
 use crate::pattern::case_seed;
@@ -105,7 +105,7 @@ impl Harness {
         self
     }
 
-    /// The standard bounded suite wired into `cargo test`: all fifteen
+    /// The standard bounded suite wired into `cargo test`: all sixteen
     /// oracle pairs, budgeted to just over 10 000 cases in well under a
     /// minute.
     #[must_use]
@@ -148,6 +148,7 @@ impl Harness {
         h.push(Box::new(RedrawOracle), 400 * m);
         h.push(Box::new(DmmTimingOracle), 700 * m);
         h.push(Box::new(UmmRowsOracle), 700 * m);
+        h.push(Box::new(DmmFastVsNaiveOracle), 700 * m);
         h.push(Box::new(MappingAlgebraOracle), 700 * m);
         h.push(Box::new(TransposeOracle), 400 * m);
         h.push(Box::new(ScheduleOracle), 300 * m);

@@ -17,7 +17,8 @@
 //! * concrete oracles in [`kernels`], [`fused_oracle`] (the bit-parallel
 //!   fused permute-shift kernel vs the unfused pipeline),
 //!   [`redraw_oracle`] (the in-place Table IV mapping redraw vs a fresh
-//!   build), [`machine`],
+//!   build), [`machine`] (including the machines' dispatch loop vs the
+//!   naive loop it replaced),
 //!   [`mapping_oracle`], [`transpose_oracle`], [`schedule_oracle`], and
 //!   [`prover_oracle`] (the static prover of `rap-analyze` vs the
 //!   simulated bank loads), [`synth_oracle`] (synthesis certificates
@@ -66,7 +67,7 @@ pub use harness::{ConformanceReport, Harness, IsolatedRun, IsolationPolicy, Orac
 pub use kernels::{
     AnalyzePath, CongestionPath, FreeFnPath, KernelOracle, MergedAccessPath, ScratchPath,
 };
-pub use machine::{DmmTimingOracle, UmmRowsOracle};
+pub use machine::{DmmFastVsNaiveOracle, DmmTimingOracle, UmmRowsOracle};
 pub use mapping_oracle::MappingAlgebraOracle;
 pub use mutation::{NoDedupMutant, WrongModulusMutant};
 pub use oracle::{Divergence, MinimalCase, Oracle};
@@ -74,8 +75,8 @@ pub use pattern::{case_seed, splitmix64, AccessCase, PatternKind, WIDTH_LADDER};
 pub use prover_oracle::ProverOracle;
 pub use redraw_oracle::RedrawOracle;
 pub use reference::{
-    naive_bank_loads, naive_congestion, naive_distinct_rows, naive_transpose,
-    naive_unique_requests, NaiveShift4d,
+    naive_bank_loads, naive_congestion, naive_distinct_rows, naive_execute, naive_merge,
+    naive_transpose, naive_unique_requests, NaiveShift4d,
 };
 pub use schedule_oracle::ScheduleOracle;
 pub use shrink::shrink_case;

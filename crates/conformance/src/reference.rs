@@ -7,7 +7,12 @@
 
 use rand::Rng;
 use rap_core::multidim::Scheme4d;
-use std::collections::{HashMap, HashSet};
+use rap_dmm::{
+    BankedMemory, DispatchEvent, ExecReport, Machine, MemOp, MergedAccess, PhaseStats, Program,
+    StageModel, WriteSource,
+};
+use rap_stats::IntHistogram;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Congestion of one warp access: the maximum, over banks, of the number
 /// of *distinct* addresses (CRCW merge) mapping to that bank.
@@ -142,6 +147,185 @@ impl NaiveShift4d {
             Scheme4d::ThreeP => p[0][d1] + p[1][d2] + p[2][d3],
             Scheme4d::WSquaredP => p[d3 * w + d2][d1],
             Scheme4d::OnePlusWSquaredR => p[0][d1] + self.shifts[d3 * w + d2],
+        }
+    }
+}
+
+/// The merged view of one warp phase, built with a `BTreeSet` of the
+/// issued addresses (sorted, duplicates merged) and a plain count per bank.
+#[must_use]
+pub fn naive_merge<T>(width: usize, ops: &[Option<MemOp<T>>]) -> MergedAccess {
+    let addresses: BTreeSet<u64> = ops.iter().flatten().map(MemOp::address).collect();
+    let mut bank_loads = vec![0u32; width];
+    for &a in &addresses {
+        bank_loads[(a % width as u64) as usize] += 1;
+    }
+    MergedAccess {
+        addresses: addresses.into_iter().collect(),
+        bank_loads,
+    }
+}
+
+/// The DMM/UMM dispatch loop as it was before the machine's single
+/// cursor-based loop: every iteration re-scans every warp's current phase,
+/// merges with [`naive_merge`], and keeps each thread's whole read history.
+/// It applies the program to `memory` and returns the report together with
+/// the dispatch events `rap_dmm::trace` must reproduce.
+///
+/// # Panics
+/// As `Machine::execute_with`.
+#[allow(clippy::needless_range_loop)] // warp indexes parallel state arrays
+pub fn naive_execute<M: StageModel, T: Copy>(
+    machine: &Machine<M>,
+    program: &Program<T>,
+    memory: &mut BankedMemory<T>,
+    reducer: impl Fn(&[T]) -> T,
+) -> (ExecReport, Vec<DispatchEvent>) {
+    let w = machine.width();
+    let p = program.num_threads();
+    assert!(
+        p.is_multiple_of(w),
+        "thread count {p} must be a multiple of the width {w}"
+    );
+    let n_warps = p / w;
+    let n_phases = program.num_phases();
+
+    let mut phase_stats: Vec<PhaseStats> = program
+        .phases()
+        .iter()
+        .map(|ph| PhaseStats {
+            label: ph.label.clone(),
+            congestion: IntHistogram::with_max(w as u32),
+            stages: 0,
+        })
+        .collect();
+
+    // Per-warp cursor and readiness.
+    let mut pc = vec![0usize; n_warps];
+    let mut ready_at = vec![0u64; n_warps];
+    // Per-thread read history (the last entry is the `LastRead`
+    // register; the whole vector feeds `WriteSource::Reduced`).
+    let mut history: Vec<Vec<T>> = vec![Vec::new(); p];
+    let mut events = Vec::new();
+
+    let mut port_time: u64 = 0; // next free injection slot
+    let mut last_completion: u64 = 0;
+    let mut dispatches: u64 = 0;
+    let mut total_stages: u64 = 0;
+    let mut any_dispatch = false;
+    let mut rr = 0usize; // round-robin scan start
+
+    loop {
+        // Skip phases in which a warp issues nothing (not dispatched).
+        for warp in 0..n_warps {
+            while pc[warp] < n_phases {
+                let phase = &program.phases()[pc[warp]];
+                let ops = &phase.ops[warp * w..(warp + 1) * w];
+                if ops.iter().any(Option::is_some) {
+                    break;
+                }
+                pc[warp] += 1;
+            }
+        }
+        if pc.iter().all(|&c| c >= n_phases) {
+            break;
+        }
+
+        // Pick the next warp to dispatch: round-robin among warps that
+        // are ready at the current port time; if none, advance time.
+        let ready_warp = (0..n_warps)
+            .map(|k| (rr + k) % n_warps)
+            .find(|&wi| pc[wi] < n_phases && ready_at[wi] <= port_time);
+        let Some(warp) = ready_warp else {
+            port_time = (0..n_warps)
+                .filter(|&wi| pc[wi] < n_phases)
+                .map(|wi| ready_at[wi])
+                .min()
+                .expect("some warp must remain");
+            continue;
+        };
+        rr = (warp + 1) % n_warps;
+
+        let phase_idx = pc[warp];
+        let phase = &program.phases()[phase_idx];
+        let ops = &phase.ops[warp * w..(warp + 1) * w];
+        let merged = naive_merge(w, ops);
+        debug_assert!(!merged.is_empty(), "empty phases were skipped above");
+
+        // Apply functional effects at dispatch.
+        naive_apply_effects(ops, warp * w, memory, &mut history, &reducer);
+
+        // Timing: the access occupies `stages` injection slots.
+        let stages = u64::from(M::stages(w, &merged));
+        let start = port_time;
+        port_time = start + stages;
+        let completion = start + stages - 1 + (machine.latency() - 1);
+        ready_at[warp] = completion + 1;
+        last_completion = last_completion.max(completion);
+        pc[warp] += 1;
+
+        dispatches += 1;
+        total_stages += stages;
+        any_dispatch = true;
+        phase_stats[phase_idx]
+            .congestion
+            .record(merged.congestion());
+        phase_stats[phase_idx].stages += stages;
+
+        let hottest_bank = merged
+            .bank_loads
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &l)| l)
+            .map_or(0, |(b, _)| b as u32);
+        events.push(DispatchEvent {
+            warp,
+            phase: phase_idx,
+            label: phase.label.clone(),
+            start,
+            stages: stages as u32,
+            completion,
+            hottest_bank,
+        });
+    }
+
+    let report = ExecReport {
+        cycles: if any_dispatch { last_completion + 1 } else { 0 },
+        dispatches,
+        total_stages,
+        phases: phase_stats,
+    };
+    (report, events)
+}
+
+/// Apply one warp phase's reads/writes to memory and registers.
+fn naive_apply_effects<T: Copy>(
+    ops: &[Option<MemOp<T>>],
+    thread_base: usize,
+    memory: &mut BankedMemory<T>,
+    history: &mut [Vec<T>],
+    reducer: &impl Fn(&[T]) -> T,
+) {
+    // Reads first (a phase is all-reads or all-writes, so order within
+    // the phase is immaterial; doing reads first is future-proof).
+    for (lane, op) in ops.iter().enumerate() {
+        if let Some(MemOp::Read(a)) = op {
+            history[thread_base + lane].push(memory.read(*a));
+        }
+    }
+    // Writes: lowest-numbered thread wins on address collisions, so
+    // iterate lanes in reverse and let earlier lanes overwrite.
+    for (lane, op) in ops.iter().enumerate().rev() {
+        if let Some(MemOp::Write(a, src)) = op {
+            let reads = &history[thread_base + lane];
+            let value = match src {
+                WriteSource::Const(v) => *v,
+                WriteSource::LastRead => {
+                    *reads.last().expect("thread wrote LastRead before any read")
+                }
+                WriteSource::Reduced => reducer(reads),
+            };
+            memory.write(*a, value);
         }
     }
 }

@@ -9,7 +9,6 @@
 
 use crate::congestion::BankLoads;
 use crate::mapping::MatrixMapping;
-use std::fmt::Write as _;
 
 /// Render the physical arrangement of a `w × w` matrix under `mapping`:
 /// one line per physical row, each column being a bank, showing the
@@ -41,25 +40,59 @@ pub fn render_layout(mapping: &dyn MatrixMapping) -> String {
     let width = ((cells.max(2) - 1) as f64).log10() as usize + 1;
     // A title, then a header and `rows` lines of `w` cells of
     // `width + 2` bytes each plus the row label: reserve it all once.
-    let mut out = String::with_capacity(32 + (rows as usize + 1) * (w as usize * (width + 2) + 16));
-    // Writing into a `String` cannot fail.
-    let _ = writeln!(out, "{} layout, w = {w}:", mapping.scheme());
-    out.push_str("      ");
+    let mut out = format!("{} layout, w = {w}:\n", mapping.scheme()).into_bytes();
+    out.reserve((rows as usize + 1) * (w as usize * (width + 2) + 16));
+    out.extend_from_slice(b"      ");
     for b in 0..w {
-        let _ = write!(out, " B{b:<width$}");
+        // ` B{b:<width$}`
+        out.extend_from_slice(b" B");
+        let digits = push_digits(&mut out, b);
+        out.resize(out.len() + width.saturating_sub(digits), b' ');
     }
-    out.push('\n');
+    out.push(b'\n');
     for row in 0..rows {
-        let _ = write!(out, "row {row:>2}");
+        // `row {row:>2}`
+        out.extend_from_slice(b"row ");
+        push_right_aligned(&mut out, row, 2);
         for col in 0..w {
-            let _ = match physical[(row * w + col) as usize] {
-                Some(v) => write!(out, " {v:>width$} "),
-                None => write!(out, " {:>width$} ", "·"),
-            };
+            // ` {v:>width$} `, or ` {"·":>width$} ` for a padding slot.
+            out.push(b' ');
+            match physical[(row * w + col) as usize] {
+                Some(v) => push_right_aligned(&mut out, v, width),
+                None => {
+                    out.resize(out.len() + width - 1, b' ');
+                    out.extend_from_slice("·".as_bytes());
+                }
+            }
+            out.push(b' ');
         }
-        out.push('\n');
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("the layout is ASCII but for `·`")
+}
+
+/// Append the decimal digits of `v`; returns how many were written.
+fn push_digits(out: &mut Vec<u8>, mut v: u32) -> usize {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+    digits.len() - start
+}
+
+/// Append `v` right-aligned in a field of `width` bytes (wider if `v` has
+/// more digits), as `{v:>width$}` formats it.
+fn push_right_aligned(out: &mut Vec<u8>, v: u32, width: usize) {
+    let digits = if v == 0 { 1 } else { v.ilog10() as usize + 1 };
+    out.resize(out.len() + width.saturating_sub(digits), b' ');
+    push_digits(out, v);
 }
 
 /// Render the per-bank unique-request loads of one warp access as a bar
@@ -142,5 +175,78 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
         let s = render_layout(&RowShift::rap(&mut rng, 32));
         assert_eq!(s.lines().count(), 2 + 32);
+    }
+
+    /// The direct renderer emits the same bytes as the `write!` renderer it
+    /// replaced, kept here verbatim as the reference: every scheme, every
+    /// digit-width step and Padded's `·` slots.
+    #[test]
+    fn layout_matches_the_write_renderer() {
+        use crate::modern::{Padded, XorSwizzle};
+        use crate::Scheme;
+        use rand::SeedableRng;
+        use std::fmt::Write as _;
+
+        fn reference(mapping: &dyn MatrixMapping) -> String {
+            let w = mapping.width() as u32;
+            // Ceil to whole rendered rows: padded layouts may not fill the last.
+            let storage = mapping.storage_words();
+            let rows = storage.div_ceil(w as usize) as u32;
+            let mut physical: Vec<Option<u32>> = vec![None; (rows * w) as usize];
+            for i in 0..w {
+                for j in 0..w {
+                    let a = mapping.address(i, j) as usize;
+                    assert!(
+                        physical[a].is_none(),
+                        "mapping is not injective at address {a}"
+                    );
+                    physical[a] = Some(i * w + j);
+                }
+            }
+            let cells = (w * w) as usize;
+            let width = ((cells.max(2) - 1) as f64).log10() as usize + 1;
+            // A title, then a header and `rows` lines of `w` cells of
+            // `width + 2` bytes each plus the row label: reserve it all once.
+            let mut out =
+                String::with_capacity(32 + (rows as usize + 1) * (w as usize * (width + 2) + 16));
+            // Writing into a `String` cannot fail.
+            let _ = writeln!(out, "{} layout, w = {w}:", mapping.scheme());
+            out.push_str("      ");
+            for b in 0..w {
+                let _ = write!(out, " B{b:<width$}");
+            }
+            out.push('\n');
+            for row in 0..rows {
+                let _ = write!(out, "row {row:>2}");
+                for col in 0..w {
+                    let _ = match physical[(row * w + col) as usize] {
+                        Some(v) => write!(out, " {v:>width$} "),
+                        None => write!(out, " {:>width$} ", "·"),
+                    };
+                }
+                out.push('\n');
+            }
+            out
+        }
+
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+        for w in (1..=40).chain([99, 100, 101, 255, 256, 512]) {
+            let mut mappings: Vec<Box<dyn MatrixMapping>> = [Scheme::Raw, Scheme::Ras, Scheme::Rap]
+                .into_iter()
+                .map(|s| Box::new(RowShift::of_scheme(s, &mut rng, w)) as Box<dyn MatrixMapping>)
+                .collect();
+            mappings.push(Box::new(Padded::new(w).unwrap()));
+            if let Ok(xor) = XorSwizzle::new(w) {
+                mappings.push(Box::new(xor));
+            }
+            for mapping in &mappings {
+                assert_eq!(
+                    render_layout(mapping.as_ref()),
+                    reference(mapping.as_ref()),
+                    "{} at w = {w}",
+                    mapping.scheme()
+                );
+            }
+        }
     }
 }

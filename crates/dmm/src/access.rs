@@ -56,9 +56,9 @@ impl<T> MemOp<T> {
 
 /// The merged view of one warp's phase: the unique addresses it touches
 /// and the number of pipeline stages the access occupies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MergedAccess {
-    /// Unique addresses, sorted.
+    /// Unique addresses, in no particular order.
     pub addresses: Vec<u64>,
     /// Per-bank unique-request counts (length = machine width).
     pub bank_loads: Vec<u32>,
@@ -69,20 +69,41 @@ impl MergedAccess {
     /// once) on a machine with `width` banks.
     #[must_use]
     pub fn merge<T>(width: usize, ops: &[Option<MemOp<T>>]) -> Self {
-        let mut addresses: Vec<u64> = ops
-            .iter()
-            .filter_map(|op| op.as_ref().map(MemOp::address))
-            .collect();
-        addresses.sort_unstable();
-        addresses.dedup();
-        let mut bank_loads = vec![0u32; width];
-        for &a in &addresses {
-            bank_loads[(a % width as u64) as usize] += 1;
+        let mut merged = Self::default();
+        merged.merge_into(width, ops);
+        merged
+    }
+
+    /// [`MergedAccess::merge`] into `self`, reusing its buffers.
+    ///
+    /// Requests to distinct banks have distinct addresses, so the
+    /// addresses are sorted and deduplicated only when some bank receives
+    /// two or more requests.
+    pub fn merge_into<T>(&mut self, width: usize, ops: &[Option<MemOp<T>>]) {
+        self.addresses.clear();
+        self.addresses.reserve(ops.len());
+        for op in ops.iter().flatten() {
+            self.addresses.push(op.address());
         }
-        Self {
-            addresses,
-            bank_loads,
+        if self.count_banks(width) > 1 {
+            self.addresses.sort_unstable();
+            self.addresses.dedup();
+            self.count_banks(width);
         }
+    }
+
+    /// Fill `bank_loads` from `addresses`; returns the highest load.
+    fn count_banks(&mut self, width: usize) -> u32 {
+        self.bank_loads.clear();
+        self.bank_loads.resize(width, 0);
+        let w = width as u64;
+        let mut max = 0;
+        for &a in &self.addresses {
+            let load = &mut self.bank_loads[(a % w) as usize];
+            *load += 1;
+            max = max.max(*load);
+        }
+        max
     }
 
     /// The congestion of the merged access: max unique requests per bank.

@@ -75,18 +75,11 @@ impl StageModel for UnifiedRows {
     const NAME: &'static str = "UMM";
 
     fn stages(width: usize, merged: &MergedAccess) -> u32 {
-        // `merged.addresses` is sorted, so equal rows are adjacent.
         let w = width as u64;
-        let mut rows = 0u32;
-        let mut last = u64::MAX;
-        for &a in &merged.addresses {
-            let row = a / w;
-            if row != last {
-                rows += 1;
-                last = row;
-            }
-        }
-        rows
+        let mut rows: Vec<u64> = merged.addresses.iter().map(|&a| a / w).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.len() as u32
     }
 }
 
@@ -173,7 +166,6 @@ impl<M: StageModel> Machine<M> {
     ///
     /// # Panics
     /// As [`Machine::execute`] (except `Reduced` is now supported).
-    #[allow(clippy::needless_range_loop)] // warp indexes parallel state arrays
     pub fn execute_with<T: Copy>(
         &self,
         program: &Program<T>,
@@ -181,15 +173,7 @@ impl<M: StageModel> Machine<M> {
         reducer: impl Fn(&[T]) -> T,
     ) -> ExecReport {
         let w = self.width;
-        let p = program.num_threads();
-        assert!(
-            p.is_multiple_of(w),
-            "thread count {p} must be a multiple of the width {w}"
-        );
-        let n_warps = p / w;
-        let n_phases = program.num_phases();
-
-        let mut phase_stats: Vec<PhaseStats> = program
+        let mut phases: Vec<PhaseStats> = program
             .phases()
             .iter()
             .map(|ph| PhaseStats {
@@ -198,43 +182,74 @@ impl<M: StageModel> Machine<M> {
                 stages: 0,
             })
             .collect();
+        let mut registers = Registers::new(program);
+        let (mut cycles, mut dispatches, mut total_stages) = (0u64, 0u64, 0u64);
+        self.dispatch_loop(program, |d| {
+            registers.apply(d.ops, d.warp * w, memory, &reducer);
+            let stages = u64::from(d.stages);
+            cycles = cycles.max(d.completion + 1);
+            dispatches += 1;
+            total_stages += stages;
+            phases[d.phase].congestion.record(d.merged.congestion());
+            phases[d.phase].stages += stages;
+        });
+        ExecReport {
+            cycles,
+            dispatches,
+            total_stages,
+            phases,
+        }
+    }
 
-        // Per-warp cursor and readiness.
-        let mut pc = vec![0usize; n_warps];
+    /// The machine's one dispatch loop, shared by [`Machine::execute_with`]
+    /// and [`crate::trace()`]: it schedules every non-empty warp phase of
+    /// `program` and hands each dispatch, in dispatch order, to
+    /// `on_dispatch`.
+    ///
+    /// Each warp keeps a cursor to its next phase in which it issues
+    /// anything, so an idle warp phase costs one scan of its `w` lanes for
+    /// the whole run; the merge reuses one scratch; and when no warp is
+    /// ready the port time jumps straight to the earliest ready time, so
+    /// idle cycles cost nothing.
+    ///
+    /// # Panics
+    /// Panics if the thread count is not a multiple of the width.
+    pub(crate) fn dispatch_loop<T: Copy>(
+        &self,
+        program: &Program<T>,
+        mut on_dispatch: impl FnMut(&Dispatch<'_, T>),
+    ) {
+        let w = self.width;
+        let p = program.num_threads();
+        assert!(
+            p.is_multiple_of(w),
+            "thread count {p} must be a multiple of the width {w}"
+        );
+        let n_warps = p / w;
+        let phases = program.phases();
+        let n_phases = phases.len();
+        let warp_ops = |phase: usize, warp: usize| &phases[phase].ops[warp * w..(warp + 1) * w];
+        // The first phase at or after `from` in which `warp` issues a request.
+        let next_busy = |warp: usize, from: usize| {
+            (from..n_phases)
+                .find(|&phase| warp_ops(phase, warp).iter().any(Option::is_some))
+                .unwrap_or(n_phases)
+        };
+
+        let mut pc: Vec<usize> = (0..n_warps).map(|warp| next_busy(warp, 0)).collect();
+        let mut unfinished = pc.iter().filter(|&&c| c < n_phases).count();
         let mut ready_at = vec![0u64; n_warps];
-        // Per-thread read history (the last entry is the `LastRead`
-        // register; the whole vector feeds `WriteSource::Reduced`).
-        let mut history: Vec<Vec<T>> = vec![Vec::new(); p];
-
+        let mut merged = MergedAccess::default();
         let mut port_time: u64 = 0; // next free injection slot
-        let mut last_completion: u64 = 0;
-        let mut dispatches: u64 = 0;
-        let mut total_stages: u64 = 0;
-        let mut any_dispatch = false;
         let mut rr = 0usize; // round-robin scan start
 
-        loop {
-            // Skip phases in which a warp issues nothing (not dispatched).
-            for warp in 0..n_warps {
-                while pc[warp] < n_phases {
-                    let phase = &program.phases()[pc[warp]];
-                    let ops = &phase.ops[warp * w..(warp + 1) * w];
-                    if ops.iter().any(Option::is_some) {
-                        break;
-                    }
-                    pc[warp] += 1;
-                }
-            }
-            if pc.iter().all(|&c| c >= n_phases) {
-                break;
-            }
-
-            // Pick the next warp to dispatch: round-robin among warps that
-            // are ready at the current port time; if none, advance time.
-            let ready_warp = (0..n_warps)
-                .map(|k| (rr + k) % n_warps)
+        while unfinished > 0 {
+            // Round-robin among the warps ready at the current port time;
+            // if none is, advance time to the earliest one.
+            let ready = (rr..n_warps)
+                .chain(0..rr)
                 .find(|&wi| pc[wi] < n_phases && ready_at[wi] <= port_time);
-            let Some(warp) = ready_warp else {
+            let Some(warp) = ready else {
                 port_time = (0..n_warps)
                     .filter(|&wi| pc[wi] < n_phases)
                     .map(|wi| ready_at[wi])
@@ -244,67 +259,110 @@ impl<M: StageModel> Machine<M> {
             };
             rr = (warp + 1) % n_warps;
 
-            let phase_idx = pc[warp];
-            let phase = &program.phases()[phase_idx];
-            let ops = &phase.ops[warp * w..(warp + 1) * w];
-            let merged = MergedAccess::merge(w, ops);
-            debug_assert!(!merged.is_empty(), "empty phases were skipped above");
-
-            // Apply functional effects at dispatch.
-            Self::apply_effects(ops, warp * w, memory, &mut history, &reducer);
-
-            // Timing: the access occupies `stages` injection slots.
-            let stages = u64::from(M::stages(w, &merged));
+            let phase = pc[warp];
+            let ops = warp_ops(phase, warp);
+            merged.merge_into(w, ops);
+            // The access occupies `stages` injection slots.
+            let stages = M::stages(w, &merged);
             let start = port_time;
-            port_time = start + stages;
-            let completion = start + stages - 1 + (self.latency - 1);
+            port_time = start + u64::from(stages);
+            let completion = start + u64::from(stages) - 1 + (self.latency - 1);
             ready_at[warp] = completion + 1;
-            last_completion = last_completion.max(completion);
-            pc[warp] += 1;
-
-            dispatches += 1;
-            total_stages += stages;
-            any_dispatch = true;
-            phase_stats[phase_idx]
-                .congestion
-                .record(merged.congestion());
-            phase_stats[phase_idx].stages += stages;
+            pc[warp] = next_busy(warp, phase + 1);
+            if pc[warp] == n_phases {
+                unfinished -= 1;
+            }
+            on_dispatch(&Dispatch {
+                warp,
+                phase,
+                ops,
+                merged: &merged,
+                start,
+                stages,
+                completion,
+            });
         }
+    }
+}
 
-        ExecReport {
-            cycles: if any_dispatch { last_completion + 1 } else { 0 },
-            dispatches,
-            total_stages,
-            phases: phase_stats,
+/// One warp-phase dispatch, as the dispatch loop reports it.
+pub(crate) struct Dispatch<'a, T> {
+    /// Warp index.
+    pub warp: usize,
+    /// Program phase index.
+    pub phase: usize,
+    /// The warp's `w` operations in this phase.
+    pub ops: &'a [Option<MemOp<T>>],
+    /// The merged access (never empty).
+    pub merged: &'a MergedAccess,
+    /// First cycle the access occupied the injection port.
+    pub start: u64,
+    /// Pipeline stages occupied.
+    pub stages: u32,
+    /// Cycle the last request completed.
+    pub completion: u64,
+}
+
+/// The threads' registers: the value each thread read last and, only when
+/// some phase writes [`WriteSource::Reduced`], its whole read history.
+struct Registers<T> {
+    last_read: Vec<Option<T>>,
+    history: Option<Vec<Vec<T>>>,
+}
+
+impl<T: Copy> Registers<T> {
+    fn new(program: &Program<T>) -> Self {
+        let p = program.num_threads();
+        let reduces = program.phases().iter().any(|phase| {
+            phase
+                .ops
+                .iter()
+                .any(|op| matches!(op, Some(MemOp::Write(_, WriteSource::Reduced))))
+        });
+        Self {
+            last_read: vec![None; p],
+            history: reduces.then(|| vec![Vec::new(); p]),
         }
     }
 
     /// Apply one warp phase's reads/writes to memory and registers.
-    fn apply_effects<T: Copy>(
+    fn apply(
+        &mut self,
         ops: &[Option<MemOp<T>>],
         thread_base: usize,
         memory: &mut BankedMemory<T>,
-        history: &mut [Vec<T>],
         reducer: &impl Fn(&[T]) -> T,
     ) {
-        // Reads first (a phase is all-reads or all-writes, so order within
-        // the phase is immaterial; doing reads first is future-proof).
-        for (lane, op) in ops.iter().enumerate() {
-            if let Some(MemOp::Read(a)) = op {
-                history[thread_base + lane].push(memory.read(*a));
+        // A phase is all-reads or all-writes (SIMD).
+        let Some(first) = ops.iter().flatten().next() else {
+            return;
+        };
+        if first.is_read() {
+            for (lane, op) in ops.iter().enumerate() {
+                if let Some(MemOp::Read(a)) = op {
+                    let value = memory.read(*a);
+                    self.last_read[thread_base + lane] = Some(value);
+                    if let Some(history) = &mut self.history {
+                        history[thread_base + lane].push(value);
+                    }
+                }
             }
+            return;
         }
         // Writes: lowest-numbered thread wins on address collisions, so
         // iterate lanes in reverse and let earlier lanes overwrite.
         for (lane, op) in ops.iter().enumerate().rev() {
             if let Some(MemOp::Write(a, src)) = op {
-                let reads = &history[thread_base + lane];
+                let thread = thread_base + lane;
                 let value = match src {
                     WriteSource::Const(v) => *v,
                     WriteSource::LastRead => {
-                        *reads.last().expect("thread wrote LastRead before any read")
+                        self.last_read[thread].expect("thread wrote LastRead before any read")
                     }
-                    WriteSource::Reduced => reducer(reads),
+                    WriteSource::Reduced => {
+                        let history = self.history.as_ref().expect("a reducing program");
+                        reducer(&history[thread])
+                    }
                 };
                 memory.write(*a, value);
             }

@@ -6,12 +6,12 @@
 //! bottleneck. [`trace`] collects one [`DispatchEvent`] per warp-phase
 //! dispatch and renders a per-warp timeline.
 //!
-//! Tracing re-runs the scheduling logic of the machine in lock-step (the
-//! scheduler is deterministic), so it can be used after the fact without
-//! having paid for event collection during measurement runs. The
-//! `timeline_consistency` test pins the two implementations together.
+//! Tracing runs the machine's own dispatch loop (the scheduler is
+//! deterministic) with an observer that records events instead of applying
+//! memory effects, so it can be used after the fact without having paid for
+//! event collection during measurement runs, and it cannot drift from
+//! [`Machine::execute`](crate::Machine::execute).
 
-use crate::access::MergedAccess;
 use crate::machine::{Machine, StageModel};
 use crate::program::Program;
 use serde::{Deserialize, Serialize};
@@ -126,78 +126,26 @@ impl Trace {
 /// # Panics
 /// As `Machine::execute` (thread-count validation).
 #[must_use]
-#[allow(clippy::needless_range_loop)] // warp indexes three parallel state arrays
 pub fn trace<M: StageModel, T: Copy>(machine: &Machine<M>, program: &Program<T>) -> Trace {
-    let w = machine.width();
-    let p = program.num_threads();
-    assert!(
-        p.is_multiple_of(w),
-        "thread count {p} must be a multiple of the width {w}"
-    );
-    let n_warps = p / w;
-    let n_phases = program.num_phases();
-    let latency = machine.latency();
-
-    let mut pc = vec![0usize; n_warps];
-    let mut ready_at = vec![0u64; n_warps];
-    let mut port_time: u64 = 0;
-    let mut rr = 0usize;
     let mut events = Vec::new();
-
-    loop {
-        for warp in 0..n_warps {
-            while pc[warp] < n_phases {
-                let phase = &program.phases()[pc[warp]];
-                let ops = &phase.ops[warp * w..(warp + 1) * w];
-                if ops.iter().any(Option::is_some) {
-                    break;
-                }
-                pc[warp] += 1;
-            }
-        }
-        if pc.iter().all(|&c| c >= n_phases) {
-            break;
-        }
-        let candidate = (0..n_warps)
-            .map(|k| (rr + k) % n_warps)
-            .find(|&wi| pc[wi] < n_phases && ready_at[wi] <= port_time);
-        let Some(warp) = candidate else {
-            port_time = (0..n_warps)
-                .filter(|&wi| pc[wi] < n_phases)
-                .map(|wi| ready_at[wi])
-                .min()
-                .expect("unfinished warp exists");
-            continue;
-        };
-        rr = (warp + 1) % n_warps;
-
-        let phase_idx = pc[warp];
-        let phase = &program.phases()[phase_idx];
-        let ops = &phase.ops[warp * w..(warp + 1) * w];
-        let merged = MergedAccess::merge(w, ops);
-        let stages = M::stages(w, &merged);
-        let start = port_time;
-        port_time = start + u64::from(stages);
-        let completion = start + u64::from(stages) - 1 + (latency - 1);
-        ready_at[warp] = completion + 1;
-        pc[warp] += 1;
-
-        let hottest_bank = merged
+    machine.dispatch_loop(program, |d| {
+        let hottest_bank = d
+            .merged
             .bank_loads
             .iter()
             .enumerate()
             .max_by_key(|(_, &l)| l)
             .map_or(0, |(b, _)| b as u32);
         events.push(DispatchEvent {
-            warp,
-            phase: phase_idx,
-            label: phase.label.clone(),
-            start,
-            stages,
-            completion,
+            warp: d.warp,
+            phase: d.phase,
+            label: program.phases()[d.phase].label.clone(),
+            start: d.start,
+            stages: d.stages,
+            completion: d.completion,
             hottest_bank,
         });
-    }
+    });
     Trace { events }
 }
 

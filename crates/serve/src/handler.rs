@@ -19,7 +19,7 @@ use rap_access::montecarlo::{
 };
 use rap_access::{CancelToken, MatrixPattern, PartialStats};
 use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
-use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds};
+use rap_analyze::{certify_theorem1_until, certify_theorem2_until, fallback_bounds};
 use rap_core::modern::build_mapping;
 use rap_core::{diagnostics::render_layout, BankLoads, RowShift, Scheme};
 use rap_resilience::failpoint;
@@ -126,7 +126,7 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             *seed,
             *domain_state,
         ),
-        Command::Analyze { width } => analyze(*width),
+        Command::Analyze { width } => analyze(*width, token),
         Command::Transpose {
             kind,
             scheme,
@@ -411,19 +411,29 @@ fn pattern_block(
     ]))
 }
 
-fn analyze(width: usize) -> Outcome {
-    let t1 = match certify_theorem1(width) {
-        Ok(t) => t,
-        Err(e) => return Outcome::BadRequest(e.to_string()),
-    };
-    let t2 = match certify_theorem2(width) {
-        Ok(t) => t,
-        Err(e) => return Outcome::BadRequest(e.to_string()),
-    };
-    let proven = t1.proven && t2.proven;
+/// Certification grows about ×4.8 per width doubling (tens of seconds at
+/// `MAX_WIDTH`), so the token is polled before every prover call.
+fn analyze(width: usize, token: &CancelToken) -> Outcome {
+    let should_stop = || token.is_cancelled();
+    let mut theorems = Vec::with_capacity(2);
+    for certify in [certify_theorem1_until, certify_theorem2_until] {
+        match certify(width, &should_stop) {
+            Ok(Some(report)) => theorems.push(report),
+            Ok(None) => {
+                return Outcome::TimedOut(
+                    "deadline expired before the theorems were certified".into(),
+                )
+            }
+            Err(e) => return Outcome::BadRequest(e.to_string()),
+        }
+    }
+    let proven = theorems.iter().all(|t| t.proven);
     Outcome::Ok(object(vec![
         ("width", Value::U64(width as u64)),
-        ("theorems", Value::Array(vec![t1.to_value(), t2.to_value()])),
+        (
+            "theorems",
+            Value::Array(theorems.iter().map(Serialize::to_value).collect()),
+        ),
         ("proven", Value::Bool(proven)),
     ]))
 }

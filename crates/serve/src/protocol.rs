@@ -573,15 +573,19 @@ impl Response {
         }
     }
 
-    /// Serialize to one newline-terminated wire line.
+    /// Serialize to one newline-terminated wire line: the derived
+    /// serialization's bytes, written from the borrowed payload rather
+    /// than from a copy of it.
     #[must_use]
     pub fn to_line(&self) -> String {
-        let mut line = serde_json::to_string(self).unwrap_or_else(|_| {
-            // The response model contains no non-serializable states; keep
-            // a hand-written last resort anyway so a response line always
-            // goes out.
-            r#"{"id":null,"ok":false,"degraded":false,"breaker":"unknown","data":null,"error":{"kind":"handler_failed","code":500,"message":"response serialization failed"}}"#.to_string()
-        });
+        let mut line = serde_json::object_to_string(&[
+            ("id", &self.id.to_value()),
+            ("ok", &Value::Bool(self.ok)),
+            ("degraded", &Value::Bool(self.degraded)),
+            ("breaker", &self.breaker.to_value()),
+            ("data", self.data.as_ref().unwrap_or(&Value::Null)),
+            ("error", &self.error.to_value()),
+        ]);
         line.push('\n');
         line
     }
@@ -946,6 +950,24 @@ mod tests {
         );
         let err = Request::parse(&line).unwrap_err();
         assert!(err.contains("max 4096"), "{err}");
+    }
+
+    #[test]
+    fn response_lines_match_the_derived_serialization() {
+        let payload = object(vec![
+            ("rendered", Value::String("RAP layout\n\"·\"".into())),
+            ("stats", Value::Array(vec![Value::F64(3.0), Value::I64(-2)])),
+        ]);
+        for response in [
+            Response::ok(Some(3), "closed", payload.clone()),
+            Response::ok(None, "half-open", Value::Null),
+            Response::degraded(Some(u64::MAX), "open", payload),
+            Response::error(None, "open", ErrorKind::Shed, "queue \"full\""),
+            Response::error(Some(9), "closed", ErrorKind::Timeout, "late"),
+        ] {
+            let derived = serde_json::to_string(&response).unwrap() + "\n";
+            assert_eq!(response.to_line(), derived);
+        }
     }
 
     #[test]

@@ -520,6 +520,33 @@ mod tests {
     }
 
     #[test]
+    fn analyze_at_the_width_cap_times_out_and_frees_its_worker() {
+        let _g = test_lock::handlers();
+        let (handle, mut client) = small_server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let started = Instant::now();
+        let resp = client
+            .roundtrip(r#"{"cmd":"analyze","id":1,"width":4096,"timeout_ms":50}"#)
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(resp.error_kind(), Some("timeout"), "{resp:?}");
+        assert_eq!(resp.error.as_ref().unwrap().code, 504);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "answered after {elapsed:?}"
+        );
+        // The one worker is free again for the next request.
+        let resp = client
+            .roundtrip(r#"{"cmd":"analyze","id":2,"width":8}"#)
+            .unwrap();
+        assert!(resp.ok, "{resp:?}");
+        let report = shutdown(handle);
+        assert!(report.metrics.conserves_responses(), "{report:?}");
+    }
+
+    #[test]
     fn panics_are_isolated_retried_and_surfaced() {
         let _l = test_lock::fail_plans();
         // Panic on every hit, retries exhausted → structured 500; the
