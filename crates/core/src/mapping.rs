@@ -270,7 +270,11 @@ impl MatrixMapping for RowShift {
     fn address(&self, i: u32, j: u32) -> u32 {
         debug_assert!(i < self.width && j < self.width, "({i},{j}) out of range");
         let w = self.width;
-        i * w + (j + self.shifts[i as usize]) % w
+        let s = self.shifts[i as usize];
+        // A division costs tens of cycles; drawn shifts are below `w`, so
+        // one conditional subtraction reduces the sum.
+        let c = if s < w { j + s } else { (j + s) % w };
+        i * w + c - w * u32::from(c >= w)
     }
 
     fn scheme(&self) -> Scheme {

@@ -76,34 +76,40 @@ impl MergedAccess {
 
     /// [`MergedAccess::merge`] into `self`, reusing its buffers.
     ///
-    /// Requests to distinct banks have distinct addresses, so the
-    /// addresses are sorted and deduplicated only when some bank receives
-    /// two or more requests.
+    /// Requests to distinct banks have distinct addresses, so on a
+    /// power-of-two machine of at most 64 banks a warp whose requests all
+    /// land in distinct banks is recognised with one bit mask (bank `b`
+    /// sets bit `b`) and needs neither the sort nor the per-bank count.
     pub fn merge_into<T>(&mut self, width: usize, ops: &[Option<MemOp<T>>]) {
-        self.addresses.clear();
-        self.addresses.reserve(ops.len());
+        let w = width as u64;
+        let pow2 = width.is_power_of_two();
+        // Filled by index, not `push`: this loop is the simulator's
+        // hottest, one pass per warp access.
+        self.addresses.resize(ops.len(), 0);
+        let mut n = 0;
+        let (mut seen, mut twice) = (0u64, 0u64);
         for op in ops.iter().flatten() {
-            self.addresses.push(op.address());
+            let a = op.address();
+            self.addresses[n] = a;
+            n += 1;
+            let bit = 1u64.wrapping_shl((a & w.wrapping_sub(1)) as u32);
+            twice |= seen & bit;
+            seen |= bit;
         }
-        if self.count_banks(width) > 1 {
-            self.addresses.sort_unstable();
-            self.addresses.dedup();
-            self.count_banks(width);
-        }
-    }
-
-    /// Fill `bank_loads` from `addresses`; returns the highest load.
-    fn count_banks(&mut self, width: usize) -> u32 {
+        self.addresses.truncate(n);
         self.bank_loads.clear();
         self.bank_loads.resize(width, 0);
-        let w = width as u64;
-        let mut max = 0;
-        for &a in &self.addresses {
-            let load = &mut self.bank_loads[(a % w) as usize];
-            *load += 1;
-            max = max.max(*load);
+        if width <= 64 && pow2 && twice == 0 {
+            for (bank, load) in self.bank_loads.iter_mut().enumerate() {
+                *load = (seen >> bank & 1) as u32;
+            }
+            return;
         }
-        max
+        self.addresses.sort_unstable();
+        self.addresses.dedup();
+        for &a in &self.addresses {
+            self.bank_loads[(a % w) as usize] += 1;
+        }
     }
 
     /// The congestion of the merged access: max unique requests per bank.

@@ -313,15 +313,9 @@ struct Registers<T> {
 impl<T: Copy> Registers<T> {
     fn new(program: &Program<T>) -> Self {
         let p = program.num_threads();
-        let reduces = program.phases().iter().any(|phase| {
-            phase
-                .ops
-                .iter()
-                .any(|op| matches!(op, Some(MemOp::Write(_, WriteSource::Reduced))))
-        });
         Self {
             last_read: vec![None; p],
-            history: reduces.then(|| vec![Vec::new(); p]),
+            history: program.reduces().then(|| vec![Vec::new(); p]),
         }
     }
 

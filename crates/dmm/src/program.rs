@@ -9,7 +9,7 @@
 //! `b[j][i] = a[i][j]` is a two-phase program: a read phase of `a` and a
 //! write phase into `b` carrying each thread's last-read value.
 
-use crate::access::{simd_consistent, MemOp};
+use crate::access::{MemOp, WriteSource};
 
 /// One SIMD step: per-thread operations, with a label for reporting.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +25,8 @@ pub struct Phase<T> {
 pub struct Program<T> {
     num_threads: usize,
     phases: Vec<Phase<T>>,
+    /// Whether some phase writes [`WriteSource::Reduced`].
+    reduces: bool,
 }
 
 impl<T: Copy> Program<T> {
@@ -38,6 +40,7 @@ impl<T: Copy> Program<T> {
         Self {
             num_threads,
             phases: Vec::new(),
+            reduces: false,
         }
     }
 
@@ -51,9 +54,34 @@ impl<T: Copy> Program<T> {
         label: impl Into<String>,
         mut op_of: impl FnMut(usize) -> Option<MemOp<T>>,
     ) -> &mut Self {
-        let ops: Vec<Option<MemOp<T>>> = (0..self.num_threads).map(&mut op_of).collect();
+        let ops = (0..self.num_threads).map(&mut op_of).collect();
+        self.push_phase(label, ops)
+    }
+
+    /// Append a phase whose per-thread operations are already built
+    /// (`ops[t]` for thread `t`).
+    ///
+    /// # Panics
+    /// Panics if `ops` does not hold one entry per thread, or if the phase
+    /// mixes reads and writes.
+    pub fn push_phase(
+        &mut self,
+        label: impl Into<String>,
+        ops: Vec<Option<MemOp<T>>>,
+    ) -> &mut Self {
+        assert_eq!(ops.len(), self.num_threads, "one operation slot per thread");
+        let (mut reads, mut writes) = (false, false);
+        for op in ops.iter().flatten() {
+            match op {
+                MemOp::Read(_) => reads = true,
+                MemOp::Write(_, source) => {
+                    writes = true;
+                    self.reduces |= matches!(source, WriteSource::Reduced);
+                }
+            }
+        }
         assert!(
-            simd_consistent(&ops),
+            !(reads && writes),
             "phase mixes reads and writes, which SIMD execution forbids"
         );
         self.phases.push(Phase {
@@ -73,6 +101,13 @@ impl<T: Copy> Program<T> {
     #[must_use]
     pub fn num_phases(&self) -> usize {
         self.phases.len()
+    }
+
+    /// Whether some phase writes [`WriteSource::Reduced`] (so execution
+    /// must keep every thread's read history).
+    #[must_use]
+    pub fn reduces(&self) -> bool {
+        self.reduces
     }
 
     /// The phases, in program order.

@@ -62,7 +62,7 @@ impl TransposeKind {
         match self {
             TransposeKind::Crsw => (i, j),
             TransposeKind::Srcw => (j, i),
-            TransposeKind::Drdw => ((i + j) % w, j),
+            TransposeKind::Drdw => (wrap(i + j, w), j),
         }
     }
 
@@ -72,9 +72,15 @@ impl TransposeKind {
         match self {
             TransposeKind::Crsw => (j, i),
             TransposeKind::Srcw => (i, j),
-            TransposeKind::Drdw => (j, (i + j) % w),
+            TransposeKind::Drdw => (j, wrap(i + j, w)),
         }
     }
+}
+
+/// `x mod w` for `x < 2w`, without a division.
+fn wrap(x: u32, w: u32) -> u32 {
+    debug_assert!(x < 2 * w, "{x} is not below 2·{w}");
+    x - w * u32::from(x >= w)
 }
 
 impl std::fmt::Display for TransposeKind {
@@ -111,19 +117,25 @@ pub fn transpose_program<T: Copy>(
 ) -> Program<T> {
     let w = mapping.width() as u32;
     let mut p: Program<T> = Program::new((w * w) as usize);
-    p.phase(format!("{kind} read"), |t| {
-        let (i, j) = ((t as u32) / w, (t as u32) % w);
-        let (ri, rj) = kind.read_coord(i, j, w);
-        Some(MemOp::Read(base_a + u64::from(mapping.address(ri, rj))))
-    });
-    p.phase(format!("{kind} write"), |t| {
-        let (i, j) = ((t as u32) / w, (t as u32) % w);
-        let (wi, wj) = kind.write_coord(i, j, w);
-        Some(MemOp::Write(
-            base_b + u64::from(mapping.address(wi, wj)),
-            WriteSource::LastRead,
-        ))
-    });
+    // Thread `t = i·w + j`, in thread order.
+    let threads = || (0..w).flat_map(move |i| (0..w).map(move |j| (i, j)));
+    let reads = threads()
+        .map(|(i, j)| {
+            let (ri, rj) = kind.read_coord(i, j, w);
+            Some(MemOp::Read(base_a + u64::from(mapping.address(ri, rj))))
+        })
+        .collect();
+    p.push_phase(format!("{kind} read"), reads);
+    let writes = threads()
+        .map(|(i, j)| {
+            let (wi, wj) = kind.write_coord(i, j, w);
+            Some(MemOp::Write(
+                base_b + u64::from(mapping.address(wi, wj)),
+                WriteSource::LastRead,
+            ))
+        })
+        .collect();
+    p.push_phase(format!("{kind} write"), writes);
     p
 }
 
