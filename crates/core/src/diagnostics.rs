@@ -42,57 +42,65 @@ pub fn render_layout(mapping: &dyn MatrixMapping) -> String {
     // `width + 2` bytes each plus the row label: reserve it all once.
     let mut out = format!("{} layout, w = {w}:\n", mapping.scheme()).into_bytes();
     out.reserve((rows as usize + 1) * (w as usize * (width + 2) + 16));
+    // Every cell is `width + 2` bytes: no index or bank has more digits
+    // than `w² − 1`. Lay a row out in spaces, then write into it.
+    let cell = width + 2;
     out.extend_from_slice(b"      ");
+    let start = out.len();
+    out.resize(start + w as usize * cell, b' ');
     for b in 0..w {
         // ` B{b:<width$}`
-        out.extend_from_slice(b" B");
-        let digits = push_digits(&mut out, b);
-        out.resize(out.len() + width.saturating_sub(digits), b' ');
+        let at = start + b as usize * cell;
+        out[at + 1] = b'B';
+        let digits = decimal_digits(b);
+        write_digits(&mut out[at + 2..at + 2 + digits], b);
     }
     out.push(b'\n');
     for row in 0..rows {
         // `row {row:>2}`
         out.extend_from_slice(b"row ");
-        push_right_aligned(&mut out, row, 2);
-        for col in 0..w {
-            // ` {v:>width$} `, or ` {"·":>width$} ` for a padding slot.
-            out.push(b' ');
-            match physical[(row * w + col) as usize] {
-                Some(v) => push_right_aligned(&mut out, v, width),
+        let digits = decimal_digits(row);
+        out.resize(out.len() + 2usize.saturating_sub(digits), b' ');
+        let at = out.len();
+        out.resize(at + digits, b' ');
+        write_digits(&mut out[at..], row);
+        // ` {v:>width$} `, or ` {"·":>width$} ` for a padding slot, whose
+        // `·` is two bytes.
+        let slots = &physical[(row * w) as usize..((row + 1) * w) as usize];
+        let mut at = out.len();
+        out.resize(
+            at + slots.len() * cell + slots.iter().filter(|v| v.is_none()).count(),
+            b' ',
+        );
+        for slot in slots {
+            match *slot {
+                Some(v) => {
+                    let end = at + 1 + width;
+                    write_digits(&mut out[end - decimal_digits(v)..end], v);
+                    at += cell;
+                }
                 None => {
-                    out.resize(out.len() + width - 1, b' ');
-                    out.extend_from_slice("·".as_bytes());
+                    out[at + width..at + width + 2].copy_from_slice("·".as_bytes());
+                    at += cell + 1;
                 }
             }
-            out.push(b' ');
         }
         out.push(b'\n');
     }
     String::from_utf8(out).expect("the layout is ASCII but for `·`")
 }
 
-/// Append the decimal digits of `v`; returns how many were written.
-fn push_digits(out: &mut Vec<u8>, mut v: u32) -> usize {
-    let mut digits = [0u8; 10];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[start..]);
-    digits.len() - start
+/// Number of decimal digits of `v`.
+fn decimal_digits(v: u32) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-/// Append `v` right-aligned in a field of `width` bytes (wider if `v` has
-/// more digits), as `{v:>width$}` formats it.
-fn push_right_aligned(out: &mut Vec<u8>, v: u32, width: usize) {
-    let digits = if v == 0 { 1 } else { v.ilog10() as usize + 1 };
-    out.resize(out.len() + width.saturating_sub(digits), b' ');
-    push_digits(out, v);
+/// Write the decimal digits of `v` into `out`, which is exactly as long.
+fn write_digits(out: &mut [u8], mut v: u32) {
+    for digit in out.iter_mut().rev() {
+        *digit = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
 }
 
 /// Render the per-bank unique-request loads of one warp access as a bar
