@@ -125,24 +125,6 @@ impl MergedAccess {
     }
 }
 
-/// Validate that the operations of one warp phase are SIMD-consistent:
-/// either all issued operations are reads or all are writes.
-///
-/// Returns `true` when consistent (an all-`None` phase is trivially so).
-#[must_use]
-pub fn simd_consistent<T>(ops: &[Option<MemOp<T>>]) -> bool {
-    let mut any_read = false;
-    let mut any_write = false;
-    for op in ops.iter().flatten() {
-        if op.is_read() {
-            any_read = true;
-        } else {
-            any_write = true;
-        }
-    }
-    !(any_read && any_write)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,21 +169,6 @@ mod tests {
         let m = MergedAccess::merge(8, &ops);
         assert!(m.is_empty());
         assert_eq!(m.congestion(), 0);
-    }
-
-    #[test]
-    fn simd_consistency() {
-        let reads: Vec<Option<Op>> = vec![Some(MemOp::Read(0)), None, Some(MemOp::Read(1))];
-        assert!(simd_consistent(&reads));
-        let writes: Vec<Option<Op>> = vec![Some(MemOp::Write(0, WriteSource::LastRead)), None];
-        assert!(simd_consistent(&writes));
-        let mixed: Vec<Option<Op>> = vec![
-            Some(MemOp::Read(0)),
-            Some(MemOp::Write(1, WriteSource::LastRead)),
-        ];
-        assert!(!simd_consistent(&mixed));
-        let empty: Vec<Option<Op>> = vec![None, None];
-        assert!(simd_consistent(&empty));
     }
 
     #[test]

@@ -173,6 +173,7 @@ impl<M: StageModel> Machine<M> {
         reducer: impl Fn(&[T]) -> T,
     ) -> ExecReport {
         let w = self.width;
+        let p = program.num_threads();
         let mut phases: Vec<PhaseStats> = program
             .phases()
             .iter()
@@ -182,16 +183,46 @@ impl<M: StageModel> Machine<M> {
                 stages: 0,
             })
             .collect();
-        let mut registers = Registers::new(program);
+        // The register file: each thread's last read and, only when a phase
+        // writes `Reduced`, its whole read history.
+        let mut last_read: Vec<Option<T>> = vec![None; p];
+        let reduces = program.reduces;
+        let mut history: Vec<Vec<T>> = vec![Vec::new(); if reduces { p } else { 0 }];
         let (mut cycles, mut dispatches, mut total_stages) = (0u64, 0u64, 0u64);
-        self.dispatch_loop(program, |d| {
-            registers.apply(d.ops, d.warp * w, memory, &reducer);
-            let stages = u64::from(d.stages);
-            cycles = cycles.max(d.completion + 1);
+        self.dispatch_loop(program, |warp, phase, merged, _, stages, completion| {
+            // Functional effects apply at dispatch. Reads first (a phase is
+            // all-reads or all-writes, so order within it is immaterial).
+            let threads = warp * w..(warp + 1) * w;
+            let ops = &program.phases()[phase].ops[threads.clone()];
+            for (t, op) in threads.clone().zip(ops) {
+                if let Some(MemOp::Read(a)) = op {
+                    let value = memory.read(*a);
+                    last_read[t] = Some(value);
+                    if reduces {
+                        history[t].push(value);
+                    }
+                }
+            }
+            // Writes: lowest-numbered thread wins on address collisions, so
+            // iterate lanes in reverse and let earlier lanes overwrite.
+            for (t, op) in threads.zip(ops).rev() {
+                if let Some(MemOp::Write(a, src)) = op {
+                    let value = match src {
+                        WriteSource::Const(v) => *v,
+                        WriteSource::LastRead => {
+                            last_read[t].expect("thread wrote LastRead before any read")
+                        }
+                        WriteSource::Reduced => reducer(&history[t]),
+                    };
+                    memory.write(*a, value);
+                }
+            }
+            let stages = u64::from(stages);
+            cycles = cycles.max(completion + 1);
             dispatches += 1;
             total_stages += stages;
-            phases[d.phase].congestion.record(d.merged.congestion());
-            phases[d.phase].stages += stages;
+            phases[phase].congestion.record(merged.congestion());
+            phases[phase].stages += stages;
         });
         ExecReport {
             cycles,
@@ -204,7 +235,9 @@ impl<M: StageModel> Machine<M> {
     /// The machine's one dispatch loop, shared by [`Machine::execute_with`]
     /// and [`crate::trace()`]: it schedules every non-empty warp phase of
     /// `program` and hands each dispatch, in dispatch order, to
-    /// `on_dispatch`.
+    /// `on_dispatch(warp, phase, merged, start, stages, completion)`: the
+    /// merged access, its first cycle on the injection port, the stages it
+    /// occupies and the cycle its last request completes.
     ///
     /// Each warp keeps a cursor to its next phase in which it issues
     /// anything, so an idle warp phase costs one scan of its `w` lanes for
@@ -217,7 +250,7 @@ impl<M: StageModel> Machine<M> {
     pub(crate) fn dispatch_loop<T: Copy>(
         &self,
         program: &Program<T>,
-        mut on_dispatch: impl FnMut(&Dispatch<'_, T>),
+        mut on_dispatch: impl FnMut(usize, usize, &MergedAccess, u64, u32, u64),
     ) {
         let w = self.width;
         let p = program.num_threads();
@@ -260,8 +293,7 @@ impl<M: StageModel> Machine<M> {
             rr = (warp + 1) % n_warps;
 
             let phase = pc[warp];
-            let ops = warp_ops(phase, warp);
-            merged.merge_into(w, ops);
+            merged.merge_into(w, warp_ops(phase, warp));
             // The access occupies `stages` injection slots.
             let stages = M::stages(w, &merged);
             let start = port_time;
@@ -272,94 +304,7 @@ impl<M: StageModel> Machine<M> {
             if pc[warp] == n_phases {
                 unfinished -= 1;
             }
-            on_dispatch(&Dispatch {
-                warp,
-                phase,
-                ops,
-                merged: &merged,
-                start,
-                stages,
-                completion,
-            });
-        }
-    }
-}
-
-/// One warp-phase dispatch, as the dispatch loop reports it.
-pub(crate) struct Dispatch<'a, T> {
-    /// Warp index.
-    pub warp: usize,
-    /// Program phase index.
-    pub phase: usize,
-    /// The warp's `w` operations in this phase.
-    pub ops: &'a [Option<MemOp<T>>],
-    /// The merged access (never empty).
-    pub merged: &'a MergedAccess,
-    /// First cycle the access occupied the injection port.
-    pub start: u64,
-    /// Pipeline stages occupied.
-    pub stages: u32,
-    /// Cycle the last request completed.
-    pub completion: u64,
-}
-
-/// The threads' registers: the value each thread read last and, only when
-/// some phase writes [`WriteSource::Reduced`], its whole read history.
-struct Registers<T> {
-    last_read: Vec<Option<T>>,
-    history: Option<Vec<Vec<T>>>,
-}
-
-impl<T: Copy> Registers<T> {
-    fn new(program: &Program<T>) -> Self {
-        let p = program.num_threads();
-        Self {
-            last_read: vec![None; p],
-            history: program.reduces().then(|| vec![Vec::new(); p]),
-        }
-    }
-
-    /// Apply one warp phase's reads/writes to memory and registers.
-    fn apply(
-        &mut self,
-        ops: &[Option<MemOp<T>>],
-        thread_base: usize,
-        memory: &mut BankedMemory<T>,
-        reducer: &impl Fn(&[T]) -> T,
-    ) {
-        // A phase is all-reads or all-writes (SIMD).
-        let Some(first) = ops.iter().flatten().next() else {
-            return;
-        };
-        if first.is_read() {
-            for (lane, op) in ops.iter().enumerate() {
-                if let Some(MemOp::Read(a)) = op {
-                    let value = memory.read(*a);
-                    self.last_read[thread_base + lane] = Some(value);
-                    if let Some(history) = &mut self.history {
-                        history[thread_base + lane].push(value);
-                    }
-                }
-            }
-            return;
-        }
-        // Writes: lowest-numbered thread wins on address collisions, so
-        // iterate lanes in reverse and let earlier lanes overwrite.
-        for (lane, op) in ops.iter().enumerate().rev() {
-            if let Some(MemOp::Write(a, src)) = op {
-                let thread = thread_base + lane;
-                let value = match src {
-                    WriteSource::Const(v) => *v,
-                    WriteSource::LastRead => {
-                        self.last_read[thread].expect("thread wrote LastRead before any read")
-                    }
-                    WriteSource::Reduced => {
-                        let history = self.history.as_ref().expect("a reducing program");
-                        reducer(&history[thread])
-                    }
-                };
-                memory.write(*a, value);
-            }
+            on_dispatch(warp, phase, &merged, start, stages, completion);
         }
     }
 }

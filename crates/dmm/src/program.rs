@@ -25,8 +25,9 @@ pub struct Phase<T> {
 pub struct Program<T> {
     num_threads: usize,
     phases: Vec<Phase<T>>,
-    /// Whether some phase writes [`WriteSource::Reduced`].
-    reduces: bool,
+    /// Whether some phase writes [`WriteSource::Reduced`], so execution
+    /// must keep every thread's read history.
+    pub(crate) reduces: bool,
 }
 
 impl<T: Copy> Program<T> {
@@ -101,13 +102,6 @@ impl<T: Copy> Program<T> {
     #[must_use]
     pub fn num_phases(&self) -> usize {
         self.phases.len()
-    }
-
-    /// Whether some phase writes [`WriteSource::Reduced`] (so execution
-    /// must keep every thread's read history).
-    #[must_use]
-    pub fn reduces(&self) -> bool {
-        self.reduces
     }
 
     /// The phases, in program order.

@@ -128,21 +128,20 @@ impl Trace {
 #[must_use]
 pub fn trace<M: StageModel, T: Copy>(machine: &Machine<M>, program: &Program<T>) -> Trace {
     let mut events = Vec::new();
-    machine.dispatch_loop(program, |d| {
-        let hottest_bank = d
-            .merged
+    machine.dispatch_loop(program, |warp, phase, merged, start, stages, completion| {
+        let hottest_bank = merged
             .bank_loads
             .iter()
             .enumerate()
             .max_by_key(|(_, &l)| l)
             .map_or(0, |(b, _)| b as u32);
         events.push(DispatchEvent {
-            warp: d.warp,
-            phase: d.phase,
-            label: program.phases()[d.phase].label.clone(),
-            start: d.start,
-            stages: d.stages,
-            completion: d.completion,
+            warp,
+            phase,
+            label: program.phases()[phase].label.clone(),
+            start,
+            stages,
+            completion,
             hottest_bank,
         });
     });
