@@ -201,8 +201,8 @@ impl Oracle for UmmRowsOracle {
 /// must agree bit for bit.
 ///
 /// Each seed decodes a random program on the DMM or the UMM (latency
-/// 1..=8): a width from [`WARP_WIDTHS`] with one or two warps or from
-/// [`GRID_WIDTHS`] with up to eight, and one to five phases, each all
+/// 1..=8): a width from `WARP_WIDTHS` with one or two warps or from
+/// `GRID_WIDTHS` with up to eight, and one to five phases, each all
 /// reads or all writes and shaped as all-idle, masked random lanes, a
 /// broadcast, contiguous with whole warps idle, or full random. Writes
 /// draw `Const`, `LastRead` (only on threads that have read) or
