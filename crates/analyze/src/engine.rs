@@ -188,13 +188,11 @@ impl Prover {
             });
         }
         let rows: Vec<&[Cell]> = unique.chunk_by(|a, b| a.i == b.i).collect();
-        let lo_pigeonhole = self.pigeonhole(&unique);
-        let analysis = match scheme {
-            Scheme::Raw | Scheme::Xor | Scheme::Padded => {
-                self.analyze_deterministic(scheme, &unique)
-            }
-            Scheme::Ras => self.analyze_ras(&rows, lo_pigeonhole),
-            Scheme::Rap => self.analyze_rap(&rows, lo_pigeonhole),
+        let (lo, hi, attainer) = self.interval(scheme, &unique, &rows);
+        let (reason, witness) = match attainer {
+            Attainer::HotBank(hot) => self.deterministic_witness(scheme, &unique, hot, hi),
+            Attainer::Rows => self.ras_witness(&rows),
+            Attainer::Matching(value_owner) => self.rap_witness(&rows, &value_owner),
         };
         Ok(Analysis {
             scheme,
@@ -202,7 +200,10 @@ impl Prover {
             lanes: cells.len(),
             unique_cells: unique.len(),
             rows_touched: rows.len(),
-            ..analysis
+            lo,
+            hi,
+            reason,
+            witness: Some(witness),
         })
     }
 
@@ -215,26 +216,34 @@ impl Prover {
     ) -> Result<(u32, u32), AnalyzeError> {
         let cells = warp.cells(self.width)?;
         let unique = self.unique_cells(&cells, scheme)?;
-        if unique.is_empty() {
-            return Ok((0, 0));
-        }
-        let lo = self.pigeonhole(&unique);
-        let rows = || unique.chunk_by(|a, b| a.i == b.i);
-        Ok(match scheme {
+        let rows: Vec<&[Cell]> = unique.chunk_by(|a, b| a.i == b.i).collect();
+        let (lo, hi, _) = self.interval(scheme, &unique, &rows);
+        Ok((lo, hi))
+    }
+
+    /// The proven interval `[lo, hi]` of `scheme` over the merged cells
+    /// `unique`, grouped into their touched `rows`, and what attains `hi`.
+    /// Every rule gives `(0, 0)` for the empty access.
+    fn interval(&self, scheme: Scheme, unique: &[Cell], rows: &[&[Cell]]) -> (u32, u32, Attainer) {
+        let lo = self.pigeonhole(unique);
+        match scheme {
+            // No free variables: the congestion is one evaluated value.
             Scheme::Raw | Scheme::Xor | Scheme::Padded => {
-                let c = self.fixed_loads(scheme, &unique).1;
-                (c, c)
+                let (hot, c) = self.fixed_loads(scheme, unique);
+                (c, c, Attainer::HotBank(hot))
             }
+            // Unconstrained shifts: one bank can take one request per row.
             Scheme::Ras => {
-                let hi = rows().count() as u32;
-                (lo.min(hi), hi)
+                let hi = rows.len() as u32;
+                (lo.min(hi), hi, Attainer::Rows)
             }
+            // Distinct shifts: a bank's load is a row/shift-value matching.
             Scheme::Rap => {
-                let rows: Vec<&[Cell]> = rows().collect();
-                let hi = max_matching(&rows, self.width).0 as u32;
-                (lo.min(hi), hi)
+                let (matched, value_owner) = max_matching(rows, self.width);
+                let hi = matched as u32;
+                (lo.min(hi), hi, Attainer::Matching(value_owner))
             }
-        })
+        }
     }
 
     /// Validate `cells` for `scheme` and merge them: the distinct cells,
@@ -304,10 +313,15 @@ impl Prover {
         (hot, loads[hot as usize])
     }
 
-    /// RAW / XOR / Padded: the shift table carries no free variables, so
-    /// the congestion is a single evaluated value.
-    fn analyze_deterministic(&self, scheme: Scheme, unique: &[Cell]) -> Analysis {
-        let (hot, c) = self.fixed_loads(scheme, unique);
+    /// RAW / XOR / Padded: the witness is the scheme itself and the lanes
+    /// of its hottest bank `hot`, which receives `c` unique requests.
+    fn deterministic_witness(
+        &self,
+        scheme: Scheme,
+        unique: &[Cell],
+        hot: u32,
+        c: u32,
+    ) -> (String, Witness) {
         let lanes: Vec<u32> = unique
             .iter()
             .filter(|cell| self.fixed_bank(scheme, cell.i, cell.j) == hot)
@@ -318,32 +332,25 @@ impl Prover {
         } else {
             Vec::new()
         };
-        Analysis {
-            scheme,
-            width: self.width,
-            lanes: 0,
-            unique_cells: 0,
-            rows_touched: 0,
-            lo: c,
-            hi: c,
-            reason: format!(
-                "{scheme} is deterministic: banks are fixed, bank {hot} receives {c} unique request(s)"
-            ),
-            witness: Some(Witness {
+        let reason = format!(
+            "{scheme} is deterministic: banks are fixed, bank {hot} receives {c} unique request(s)"
+        );
+        (
+            reason,
+            Witness {
                 shifts,
                 bank: hot,
                 lanes,
-            }),
-        }
+            },
+        )
     }
 
-    /// RAS: shifts are i.i.d. and unconstrained, so the adversarial
-    /// maximum is exactly the number of touched rows.
-    fn analyze_ras(&self, rows: &[&[Cell]], lo: u32) -> Analysis {
+    /// RAS: the shift table aligning every touched row onto bank 0.
+    fn ras_witness(&self, rows: &[&[Cell]]) -> (String, Witness) {
         let w = self.width as u32;
-        let hi = rows.len() as u32;
+        let hi = rows.len();
         let mut shifts = vec![0u32; self.width];
-        let mut lanes = Vec::with_capacity(rows.len());
+        let mut lanes = Vec::with_capacity(hi);
         for row in rows {
             // Align this row's first touched column onto bank 0.
             let first = row[0];
@@ -359,37 +366,25 @@ impl Prover {
                  (r_i = (w − j_i) mod w), and no bank can exceed one unique request per row"
             )
         };
-        Analysis {
-            scheme: Scheme::Ras,
-            width: self.width,
-            lanes: 0,
-            unique_cells: 0,
-            rows_touched: 0,
-            lo: lo.min(hi),
-            hi,
+        (
             reason,
-            witness: Some(Witness {
+            Witness {
                 shifts,
                 bank: 0,
                 lanes,
-            }),
-        }
+            },
+        )
     }
 
-    /// RAP: the shift table is a permutation, so a bank's load is a
-    /// matching between touched rows and compatible shift values; the
-    /// maximum matching (bank-independent by translation symmetry) is
-    /// the exact adversarial congestion.
-    fn analyze_rap(&self, rows: &[&[Cell]], lo: u32) -> Analysis {
+    /// RAP: the maximum matching `value_owner` (per shift value, the row
+    /// owning it) completed into a permutation that attains it at bank 0.
+    fn rap_witness(&self, rows: &[&[Cell]], value_owner: &[Option<usize>]) -> (String, Witness) {
         let w = self.width as u32;
-        let (matched, value_owner) = max_matching(rows, self.width);
-        let hi = matched as u32;
-
         // Complete the matching into a full permutation: matched rows
         // keep their values, every other row takes a leftover value.
         let mut shifts = vec![u32::MAX; self.width];
         let mut taken = vec![false; self.width];
-        let mut lanes = Vec::with_capacity(matched);
+        let mut lanes = Vec::new();
         for (v, owner) in value_owner.iter().enumerate() {
             if let Some(r) = owner {
                 let row = rows[*r];
@@ -411,6 +406,7 @@ impl Prover {
         }
         lanes.sort_unstable();
 
+        let hi = lanes.len();
         let reason = if hi <= 1 {
             format!(
                 "RAP: σ is injective, so no bank can receive two of the touched rows' requests \
@@ -424,22 +420,25 @@ impl Prover {
                 rows.len()
             )
         };
-        Analysis {
-            scheme: Scheme::Rap,
-            width: self.width,
-            lanes: 0,
-            unique_cells: 0,
-            rows_touched: 0,
-            lo: lo.min(hi),
-            hi,
+        (
             reason,
-            witness: Some(Witness {
+            Witness {
                 shifts,
                 bank: 0,
                 lanes,
-            }),
-        }
+            },
+        )
     }
+}
+
+/// What attains the proven maximum `hi` of one scheme.
+enum Attainer {
+    /// RAW / XOR / Padded: this hottest bank under the fixed banks.
+    HotBank(u32),
+    /// RAS: one request per touched row, every row aligned onto one bank.
+    Rows,
+    /// RAP: a maximum row/shift-value matching, per value the row owning it.
+    Matching(Vec<Option<usize>>),
 }
 
 /// A distinct cell `(i, j)` and the first lane touching it.

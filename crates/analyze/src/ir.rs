@@ -36,6 +36,8 @@ pub enum AnalyzeError {
         /// The rejected width.
         width: usize,
     },
+    /// Certification was stopped by its caller before it finished.
+    Stopped,
 }
 
 impl std::fmt::Display for AnalyzeError {
@@ -49,6 +51,7 @@ impl std::fmt::Display for AnalyzeError {
             AnalyzeError::XorNeedsPow2 { width } => {
                 write!(f, "XOR swizzle needs a power-of-two width ≥ 2, got {width}")
             }
+            AnalyzeError::Stopped => write!(f, "certification was stopped before it finished"),
         }
     }
 }

@@ -48,7 +48,4 @@ pub use lemmas::{
     gcd, rap_dividing_stride_max, rap_stride_conflict_free_for_all, raw_flat_stride_congestion,
 };
 pub use lint::{lint_plans, Diagnostic, LintReport, Severity};
-pub use theorems::{
-    certify_theorem1, certify_theorem1_until, certify_theorem2, certify_theorem2_until, Claim,
-    TheoremReport,
-};
+pub use theorems::{certify_theorem1, certify_theorem2, Claim, TheoremReport};

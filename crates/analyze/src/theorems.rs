@@ -87,21 +87,16 @@ impl std::fmt::Display for TheoremReport {
 /// conflict-free under every scheme and every instantiation; the
 /// contrasting column access under RAW saturates one bank.
 ///
-/// # Errors
-/// [`AnalyzeError::ZeroWidth`] if `width == 0`.
-pub fn certify_theorem1(width: usize) -> Result<TheoremReport, AnalyzeError> {
-    certify_theorem1_until(width, &|| false).map(|r| r.expect("never stopped"))
-}
-
-/// [`certify_theorem1`], polling `should_stop` before every prover call
-/// and answering `Ok(None)` as soon as it returns `true`.
+/// `should_stop` is polled before every prover call; pass `&|| false` to
+/// certify to the end.
 ///
 /// # Errors
-/// As [`certify_theorem1`].
-pub fn certify_theorem1_until(
+/// [`AnalyzeError::ZeroWidth`] if `width == 0`;
+/// [`AnalyzeError::Stopped`] as soon as `should_stop` returns `true`.
+pub fn certify_theorem1(
     width: usize,
     should_stop: &dyn Fn() -> bool,
-) -> Result<Option<TheoremReport>, AnalyzeError> {
+) -> Result<TheoremReport, AnalyzeError> {
     let prover = Prover::new(width)?;
     let w = width as u64;
     let mut claims = Vec::new();
@@ -114,7 +109,7 @@ pub fn certify_theorem1_until(
         let mut worst_lo = u32::MAX;
         for row in 0..w {
             if should_stop() {
-                return Ok(None);
+                return Err(AnalyzeError::Stopped);
             }
             let (lo, hi) = prover.bounds(&AffineWarp::contiguous(row, width), scheme)?;
             worst_hi = worst_hi.max(hi);
@@ -132,7 +127,7 @@ pub fn certify_theorem1_until(
     }
     // Contrast: the un-randomized column access RAW is meant to fix.
     if should_stop() {
-        return Ok(None);
+        return Err(AnalyzeError::Stopped);
     }
     let (lo, hi) = prover.bounds(&AffineWarp::column(0, width), Scheme::Raw)?;
     claims.push(Claim {
@@ -142,7 +137,7 @@ pub fn certify_theorem1_until(
         hi,
         proven: lo == hi && hi == width as u32,
     });
-    Ok(Some(TheoremReport::seal("theorem1", width, claims)))
+    Ok(TheoremReport::seal("theorem1", width, claims))
 }
 
 /// Theorem 2 (column access under RAP): every full-warp column access is
@@ -153,21 +148,16 @@ pub fn certify_theorem1_until(
 /// permutation constraint matters: with unconstrained shifts an
 /// adversarial table drives a column access to congestion `w`.
 ///
-/// # Errors
-/// [`AnalyzeError::ZeroWidth`] if `width == 0`.
-pub fn certify_theorem2(width: usize) -> Result<TheoremReport, AnalyzeError> {
-    certify_theorem2_until(width, &|| false).map(|r| r.expect("never stopped"))
-}
-
-/// [`certify_theorem2`], polling `should_stop` before every prover call
-/// and answering `Ok(None)` as soon as it returns `true`.
+/// `should_stop` is polled before every prover call; pass `&|| false` to
+/// certify to the end.
 ///
 /// # Errors
-/// As [`certify_theorem2`].
-pub fn certify_theorem2_until(
+/// [`AnalyzeError::ZeroWidth`] if `width == 0`;
+/// [`AnalyzeError::Stopped`] as soon as `should_stop` returns `true`.
+pub fn certify_theorem2(
     width: usize,
     should_stop: &dyn Fn() -> bool,
-) -> Result<Option<TheoremReport>, AnalyzeError> {
+) -> Result<TheoremReport, AnalyzeError> {
     let prover = Prover::new(width)?;
     let w = width as u64;
     let mut claims = Vec::new();
@@ -176,7 +166,7 @@ pub fn certify_theorem2_until(
     let mut worst_lo = u32::MAX;
     for col in 0..w {
         if should_stop() {
-            return Ok(None);
+            return Err(AnalyzeError::Stopped);
         }
         let (lo, hi) = prover.bounds(&AffineWarp::column(col, width), Scheme::Rap)?;
         worst_hi = worst_hi.max(hi);
@@ -197,7 +187,7 @@ pub fn certify_theorem2_until(
             continue;
         }
         if should_stop() {
-            return Ok(None);
+            return Err(AnalyzeError::Stopped);
         }
         let (lo, hi) = prover.bounds(&AffineWarp::flat_stride(s, 0, width), Scheme::Rap)?;
         let expected = rap_dividing_stride_max(width, s);
@@ -221,7 +211,7 @@ pub fn certify_theorem2_until(
     // Contrast: RAS without the permutation constraint is defenseless
     // against an adversarial shift table on the same column access.
     if should_stop() {
-        return Ok(None);
+        return Err(AnalyzeError::Stopped);
     }
     let (lo, hi) = prover.bounds(&AffineWarp::column(0, width), Scheme::Ras)?;
     claims.push(Claim {
@@ -233,7 +223,7 @@ pub fn certify_theorem2_until(
         hi,
         proven: hi == width as u32,
     });
-    Ok(Some(TheoremReport::seal("theorem2", width, claims)))
+    Ok(TheoremReport::seal("theorem2", width, claims))
 }
 
 #[cfg(test)]
@@ -243,7 +233,7 @@ mod tests {
     #[test]
     fn theorem1_proven_across_widths() {
         for w in [1usize, 2, 3, 4, 8, 16, 32, 33, 127, 128] {
-            let r = certify_theorem1(w).unwrap();
+            let r = certify_theorem1(w, &|| false).unwrap();
             assert!(r.proven, "w={w}:\n{r}");
         }
     }
@@ -251,7 +241,7 @@ mod tests {
     #[test]
     fn theorem2_proven_across_widths() {
         for w in [1usize, 2, 3, 4, 8, 12, 16, 32, 33, 127, 128] {
-            let r = certify_theorem2(w).unwrap();
+            let r = certify_theorem2(w, &|| false).unwrap();
             assert!(r.proven, "w={w}:\n{r}");
         }
     }
@@ -260,7 +250,7 @@ mod tests {
     fn theorem2_stride_claims_are_honest() {
         // At w = 4 the stride-2 claim must record max 2 — NOT
         // conflict-free — while strides 1 and 4 are CF for all σ.
-        let r = certify_theorem2(4).unwrap();
+        let r = certify_theorem2(4, &|| false).unwrap();
         let stride2 = r
             .claims
             .iter()
@@ -278,13 +268,19 @@ mod tests {
 
     #[test]
     fn zero_width_is_an_error() {
-        assert_eq!(certify_theorem1(0).unwrap_err(), AnalyzeError::ZeroWidth);
-        assert_eq!(certify_theorem2(0).unwrap_err(), AnalyzeError::ZeroWidth);
+        assert_eq!(
+            certify_theorem1(0, &|| false).unwrap_err(),
+            AnalyzeError::ZeroWidth
+        );
+        assert_eq!(
+            certify_theorem2(0, &|| false).unwrap_err(),
+            AnalyzeError::ZeroWidth
+        );
     }
 
     #[test]
     fn reports_serialize_and_render() {
-        let r = certify_theorem2(8).unwrap();
+        let r = certify_theorem2(8, &|| false).unwrap();
         let json = r.to_json();
         assert!(json.contains("\"theorem\": \"theorem2\""));
         let back: TheoremReport = serde_json::from_str(&json).unwrap();
@@ -295,27 +291,26 @@ mod tests {
     #[test]
     fn a_stop_request_ends_certification_before_the_next_prover_call() {
         use std::cell::Cell;
-        for w in [1usize, 4, 16] {
-            let t1 = certify_theorem1(w).unwrap();
-            let t2 = certify_theorem2(w).unwrap();
-            assert_eq!(certify_theorem1_until(w, &|| false).unwrap(), Some(t1));
-            assert_eq!(certify_theorem2_until(w, &|| false).unwrap(), Some(t2));
-            if w == 1 {
-                continue; // Theorem 2 makes only three prover calls at w = 1.
-            }
+        for w in [4usize, 16] {
             let polls = Cell::new(0);
             let stop_after_three = || {
                 polls.set(polls.get() + 1);
                 polls.get() > 3
             };
-            assert_eq!(certify_theorem1_until(w, &stop_after_three).unwrap(), None);
+            assert_eq!(
+                certify_theorem1(w, &stop_after_three),
+                Err(AnalyzeError::Stopped)
+            );
             assert_eq!(polls.get(), 4, "w = {w}");
             polls.set(0);
-            assert_eq!(certify_theorem2_until(w, &stop_after_three).unwrap(), None);
+            assert_eq!(
+                certify_theorem2(w, &stop_after_three),
+                Err(AnalyzeError::Stopped)
+            );
             assert_eq!(polls.get(), 4, "w = {w}");
         }
         assert_eq!(
-            certify_theorem1_until(0, &|| true).unwrap_err(),
+            certify_theorem1(0, &|| true).unwrap_err(),
             AnalyzeError::ZeroWidth
         );
     }

@@ -51,7 +51,7 @@ fn run() -> Result<(), String> {
     let mut theorems = Vec::new();
     for &w in WIDTH_LADDER {
         for certify in [certify_theorem1, certify_theorem2] {
-            match certify(w) {
+            match certify(w, &|| false) {
                 Ok(report) => {
                     println!(
                         "  {:9} w = {:>3}: {} ({} claim(s))",

@@ -902,8 +902,8 @@ fn cmd_analyze(opts: &Opts) -> Result<String, String> {
         vec![scheme_arg.parse()?]
     };
     let theorems = vec![
-        certify_theorem1(width).map_err(|e| e.to_string())?,
-        certify_theorem2(width).map_err(|e| e.to_string())?,
+        certify_theorem1(width, &|| false).map_err(|e| e.to_string())?,
+        certify_theorem2(width, &|| false).map_err(|e| e.to_string())?,
     ];
     let mut lint = Vec::new();
     if opts.flag("plans") {

@@ -45,7 +45,8 @@ impl<T: Copy> Program<T> {
         }
     }
 
-    /// Append a phase built by evaluating `op_of` for every thread id.
+    /// Append a phase built by evaluating `op_of` for every thread id, in
+    /// thread order `0, 1, …`.
     ///
     /// # Panics
     /// Panics if the phase mixes reads and writes (the DMM is SIMD: one
@@ -55,22 +56,7 @@ impl<T: Copy> Program<T> {
         label: impl Into<String>,
         mut op_of: impl FnMut(usize) -> Option<MemOp<T>>,
     ) -> &mut Self {
-        let ops = (0..self.num_threads).map(&mut op_of).collect();
-        self.push_phase(label, ops)
-    }
-
-    /// Append a phase whose per-thread operations are already built
-    /// (`ops[t]` for thread `t`).
-    ///
-    /// # Panics
-    /// Panics if `ops` does not hold one entry per thread, or if the phase
-    /// mixes reads and writes.
-    pub fn push_phase(
-        &mut self,
-        label: impl Into<String>,
-        ops: Vec<Option<MemOp<T>>>,
-    ) -> &mut Self {
-        assert_eq!(ops.len(), self.num_threads, "one operation slot per thread");
+        let ops: Vec<_> = (0..self.num_threads).map(&mut op_of).collect();
         let (mut reads, mut writes) = (false, false);
         for op in ops.iter().flatten() {
             match op {
@@ -159,6 +145,24 @@ mod tests {
                 MemOp::Write(1, WriteSource::Const(0))
             })
         });
+    }
+
+    /// A phase of only reads, of only writes, or of no operation at all is
+    /// SIMD-consistent.
+    #[test]
+    fn single_direction_phases_accepted() {
+        let mut p: Program<u64> = Program::new(3);
+        p.phase("reads", |t| (t != 1).then_some(MemOp::Read(t as u64)));
+        p.phase("writes", |t| {
+            (t == 0).then_some(MemOp::Write(0, WriteSource::LastRead))
+        });
+        p.phase("idle", |_| None);
+        assert_eq!(p.num_phases(), 3);
+        assert!(!p.reduces);
+        p.phase("reduce", |t| {
+            Some(MemOp::Write(t as u64, WriteSource::Reduced))
+        });
+        assert!(p.reduces);
     }
 
     #[test]

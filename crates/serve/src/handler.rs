@@ -19,7 +19,7 @@ use rap_access::montecarlo::{
 };
 use rap_access::{CancelToken, MatrixPattern, PartialStats};
 use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
-use rap_analyze::{certify_theorem1_until, certify_theorem2_until, fallback_bounds};
+use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds, AnalyzeError};
 use rap_core::modern::build_mapping;
 use rap_core::{diagnostics::render_layout, BankLoads, RowShift, Scheme};
 use rap_resilience::failpoint;
@@ -416,10 +416,10 @@ fn pattern_block(
 fn analyze(width: usize, token: &CancelToken) -> Outcome {
     let should_stop = || token.is_cancelled();
     let mut theorems = Vec::with_capacity(2);
-    for certify in [certify_theorem1_until, certify_theorem2_until] {
+    for certify in [certify_theorem1, certify_theorem2] {
         match certify(width, &should_stop) {
-            Ok(Some(report)) => theorems.push(report),
-            Ok(None) => {
+            Ok(report) => theorems.push(report),
+            Err(AnalyzeError::Stopped) => {
                 return Outcome::TimedOut(
                     "deadline expired before the theorems were certified".into(),
                 )

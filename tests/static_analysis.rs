@@ -17,9 +17,9 @@ use rap_shmem::core::Scheme;
 #[test]
 fn theorems_certify_across_the_width_ladder() {
     for &w in WIDTH_LADDER {
-        let t1 = certify_theorem1(w).unwrap();
+        let t1 = certify_theorem1(w, &|| false).unwrap();
         assert!(t1.proven, "theorem1 w={w}:\n{t1}");
-        let t2 = certify_theorem2(w).unwrap();
+        let t2 = certify_theorem2(w, &|| false).unwrap();
         assert!(t2.proven, "theorem2 w={w}:\n{t2}");
     }
 }
@@ -55,7 +55,7 @@ fn wrong_affine_form_is_flagged_with_minimal_witness() {
 /// End-to-end smoke: JSON artifacts round-trip through the public API.
 #[test]
 fn reports_serialize_to_machine_readable_json() {
-    let t2 = certify_theorem2(16).unwrap();
+    let t2 = certify_theorem2(16, &|| false).unwrap();
     assert!(t2.to_json().contains("\"proven\": true"));
     let lint = lint_plans(16, Scheme::Raw).unwrap();
     let json = lint.to_json();
