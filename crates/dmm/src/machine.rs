@@ -75,31 +75,11 @@ impl StageModel for UnifiedRows {
     const NAME: &'static str = "UMM";
 
     fn stages(width: usize, merged: &MergedAccess) -> u32 {
-        /// The distinct values of a sorted sequence: its value changes.
-        fn distinct(sorted: impl Iterator<Item = u64>) -> u32 {
-            let mut last = None;
-            sorted.filter(|&row| last.replace(row) != Some(row)).count() as u32
-        }
         let w = width as u64;
-        let addresses = &merged.addresses;
-        if addresses.is_sorted() {
-            return distinct(addresses.iter().map(|&a| a / w));
-        }
-        // Only the merge's distinct-bank path leaves the addresses
-        // unsorted, and it holds at most 64 of them: sort their rows on
-        // the stack.
-        let (mut stack, mut heap) = ([0u64; 64], Vec::new());
-        let rows = if addresses.len() <= stack.len() {
-            &mut stack[..addresses.len()]
-        } else {
-            heap.resize(addresses.len(), 0);
-            &mut heap[..]
-        };
-        for (row, &a) in rows.iter_mut().zip(addresses) {
-            *row = a / w;
-        }
+        let mut rows: Vec<u64> = merged.addresses.iter().map(|&a| a / w).collect();
         rows.sort_unstable();
-        distinct(rows.iter().copied())
+        rows.dedup();
+        rows.len() as u32
     }
 }
 

@@ -45,8 +45,7 @@ impl<T: Copy> Program<T> {
         }
     }
 
-    /// Append a phase built by evaluating `op_of` for every thread id, in
-    /// thread order `0, 1, …`.
+    /// Append a phase built by evaluating `op_of` for every thread id.
     ///
     /// # Panics
     /// Panics if the phase mixes reads and writes (the DMM is SIMD: one
@@ -56,7 +55,22 @@ impl<T: Copy> Program<T> {
         label: impl Into<String>,
         mut op_of: impl FnMut(usize) -> Option<MemOp<T>>,
     ) -> &mut Self {
-        let ops: Vec<_> = (0..self.num_threads).map(&mut op_of).collect();
+        let ops = (0..self.num_threads).map(&mut op_of).collect();
+        self.push_phase(label, ops)
+    }
+
+    /// Append a phase whose per-thread operations are already built
+    /// (`ops[t]` for thread `t`).
+    ///
+    /// # Panics
+    /// Panics if `ops` does not hold one entry per thread, or if the phase
+    /// mixes reads and writes.
+    pub fn push_phase(
+        &mut self,
+        label: impl Into<String>,
+        ops: Vec<Option<MemOp<T>>>,
+    ) -> &mut Self {
+        assert_eq!(ops.len(), self.num_threads, "one operation slot per thread");
         let (mut reads, mut writes) = (false, false);
         for op in ops.iter().flatten() {
             match op {
@@ -148,7 +162,8 @@ mod tests {
     }
 
     /// A phase of only reads, of only writes, or of no operation at all is
-    /// SIMD-consistent.
+    /// SIMD-consistent; only a `Reduced` write makes execution keep read
+    /// histories.
     #[test]
     fn single_direction_phases_accepted() {
         let mut p: Program<u64> = Program::new(3);
@@ -159,9 +174,10 @@ mod tests {
         p.phase("idle", |_| None);
         assert_eq!(p.num_phases(), 3);
         assert!(!p.reduces);
-        p.phase("reduce", |t| {
-            Some(MemOp::Write(t as u64, WriteSource::Reduced))
-        });
+        p.push_phase(
+            "reduce",
+            vec![Some(MemOp::Write(0, WriteSource::Reduced)), None, None],
+        );
         assert!(p.reduces);
     }
 

@@ -117,24 +117,25 @@ pub fn transpose_program<T: Copy>(
 ) -> Program<T> {
     let w = mapping.width() as u32;
     let mut p: Program<T> = Program::new((w * w) as usize);
-    // `phase` visits threads in order, so each closure steps thread
-    // `t = i·w + j`'s coordinates along instead of dividing `t` by `w`.
+    // Thread `t = i·w + j`, in thread order.
     let threads = || (0..w).flat_map(move |i| (0..w).map(move |j| (i, j)));
-    let mut coords = threads();
-    p.phase(format!("{kind} read"), |_| {
-        let (i, j) = coords.next().expect("one coordinate pair per thread");
-        let (ri, rj) = kind.read_coord(i, j, w);
-        Some(MemOp::Read(base_a + u64::from(mapping.address(ri, rj))))
-    });
-    let mut coords = threads();
-    p.phase(format!("{kind} write"), |_| {
-        let (i, j) = coords.next().expect("one coordinate pair per thread");
-        let (wi, wj) = kind.write_coord(i, j, w);
-        Some(MemOp::Write(
-            base_b + u64::from(mapping.address(wi, wj)),
-            WriteSource::LastRead,
-        ))
-    });
+    let reads = threads()
+        .map(|(i, j)| {
+            let (ri, rj) = kind.read_coord(i, j, w);
+            Some(MemOp::Read(base_a + u64::from(mapping.address(ri, rj))))
+        })
+        .collect();
+    p.push_phase(format!("{kind} read"), reads);
+    let writes = threads()
+        .map(|(i, j)| {
+            let (wi, wj) = kind.write_coord(i, j, w);
+            Some(MemOp::Write(
+                base_b + u64::from(mapping.address(wi, wj)),
+                WriteSource::LastRead,
+            ))
+        })
+        .collect();
+    p.push_phase(format!("{kind} write"), writes);
     p
 }
 
