@@ -314,6 +314,46 @@ pub fn matrix_block_stats(
     )
 }
 
+/// [`matrix_block_stats`] over the consecutive blocks `blocks`, one
+/// accumulator per block in block order, through one reused scratch.
+/// Each accumulator is bit-identical to [`matrix_block_stats`] of its
+/// block. `token` is polled between blocks (never before the first):
+/// `None` when it fired before the last block ran.
+///
+/// # Panics
+/// Panics if `w == 0`, `trials == 0`, `blocks` is empty, or
+/// `blocks.end > blocks_for(trials)`.
+#[must_use]
+pub fn matrix_block_run(
+    scheme: Scheme,
+    pattern: MatrixPattern,
+    w: usize,
+    trials: u64,
+    blocks: std::ops::Range<u64>,
+    domain: &SeedDomain,
+    token: &CancelToken,
+) -> Option<Vec<OnlineStats>> {
+    assert!(trials > 0, "need at least one trial");
+    assert!(
+        !blocks.is_empty() && blocks.end <= blocks_for(trials),
+        "blocks {blocks:?} out of range for {trials} trials"
+    );
+    let child = domain.child("matrix");
+    let mut scratch = MatrixScratch::default();
+    let mut out = Vec::with_capacity((blocks.end - blocks.start) as usize);
+    for block in blocks.clone() {
+        if block > blocks.start && token.is_cancelled() {
+            return None;
+        }
+        let range = block_range(block, trials);
+        out.push(
+            matrix_block_in(scheme, pattern, w, &child, range, None, &mut scratch)
+                .expect("a block without a token is never cancelled"),
+        );
+    }
+    Some(out)
+}
+
 /// Estimate the expected per-warp congestion of `pattern` under `scheme`
 /// on a `w⁴` array (Table IV).
 ///
@@ -595,6 +635,48 @@ mod tests {
                 "{scheme}: block merge must be bit-identical"
             );
         }
+    }
+
+    #[test]
+    fn block_run_matches_single_blocks_and_stops_between_blocks() {
+        let trials = 77;
+        let never = CancelToken::never();
+        for pattern in [MatrixPattern::Random, MatrixPattern::Stride] {
+            let run: Vec<_> =
+                matrix_block_run(Scheme::Ras, pattern, 16, trials, 1..3, &domain(), &never)
+                    .expect("never cancelled")
+                    .iter()
+                    .map(OnlineStats::to_raw)
+                    .collect();
+            let single: Vec<_> = (1..3)
+                .map(|b| {
+                    matrix_block_stats(Scheme::Ras, pattern, 16, trials, b, &domain()).to_raw()
+                })
+                .collect();
+            assert_eq!(run, single, "{pattern:?}");
+        }
+        let fired = CancelToken::never();
+        fired.cancel();
+        let one = matrix_block_run(
+            Scheme::Rap,
+            MatrixPattern::Random,
+            8,
+            trials,
+            2..3,
+            &domain(),
+            &fired,
+        );
+        assert_eq!(one.map(|v| v.len()), Some(1), "the first block always runs");
+        let many = matrix_block_run(
+            Scheme::Rap,
+            MatrixPattern::Random,
+            8,
+            trials,
+            0..3,
+            &domain(),
+            &fired,
+        );
+        assert!(many.is_none(), "a fired token stops the run between blocks");
     }
 
     #[test]

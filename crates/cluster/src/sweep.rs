@@ -12,22 +12,34 @@
 //!
 //! Fault model, mechanism by mechanism:
 //!
-//! * **pipelined window** — each worker's runner keeps up to
-//!   `PIPELINE_DEPTH` (8) `pattern_block` requests in flight on a
-//!   connection it owns for the whole sweep (parked in the slot between
-//!   sweeps; routed queries and probes use the slot's other connection,
-//!   so nothing else ever reads a pipelined answer). Every request
-//!   carries an `id`, and answers are matched by id, in any order;
+//! * **heaviest first** — the queue holds the cells in falling order of
+//!   per-block cost (`w²` for Random, `w` otherwise), each cell's blocks
+//!   consecutive, so the costliest blocks never straggle at the end of
+//!   a sweep while the other workers idle;
+//! * **pipelined window of batched claims** — each worker's runner
+//!   keeps up to `PIPELINE_DEPTH` (8) blocks in flight on a connection
+//!   it owns for the whole sweep (parked in the slot between sweeps;
+//!   routed queries and probes use the slot's other connection, so
+//!   nothing else ever reads a pipelined answer). A claim takes the
+//!   head of the queue plus the consecutive blocks of the same cell
+//!   behind it, at most half the window (`MAX_RUN`, 4), and sends
+//!   them as one `pattern_block` request with `blocks`, so a window
+//!   always holds two requests. Every request carries an `id`, and
+//!   answers are matched by id, in any order; an answer commits all its
+//!   blocks under one lock;
 //! * **lease table** — a block is leased `(worker, issued)` when its
 //!   request is sent; a lease older than [`ClusterConfig::lease`] is
 //!   presumed orphaned (worker stalled or died without an error) and
-//!   re-dispatched;
+//!   re-dispatched alone;
 //! * **window failure rule** — a dropped connection, a timeout or an
-//!   error answer fails the whole window: the connection is dropped and
-//!   reconnected, every in-flight block is requeued, and exactly one
-//!   takes a strike (the block the error answers, else the oldest), so
-//!   a poisoned block cannot strike out its innocent co-flight blocks.
-//!   A block with `MAX_ITEM_STRIKES` (3) strikes resolves in-process;
+//!   error answer (a short or long `raw_stats` array included) fails
+//!   the whole window: the connection is dropped and reconnected, every
+//!   in-flight block is requeued, and exactly one takes a strike (the
+//!   first block of the request the error answers, else of the oldest
+//!   request). A block with a strike is always dispatched alone, so a
+//!   poisoned block soon fails alone and an innocent neighbour takes at
+//!   most one strike. A block with `MAX_ITEM_STRIKES` (3) strikes
+//!   resolves in-process;
 //! * **hedged re-dispatch** — an idle worker (nothing in flight)
 //!   re-executes the stalest in-flight block past
 //!   [`ClusterConfig::hedge_after`], so one straggler cannot gate the
@@ -59,6 +71,7 @@ use rap_stats::{OnlineStats, RawOnlineStats, SeedDomain};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -156,16 +169,28 @@ impl SweepCell {
         blocks_for(self.trials)
     }
 
-    fn request_line(&self, id: u64, block: u64) -> String {
+    fn request_line(&self, id: u64, blocks: &Range<u64>) -> String {
         format!(
-            r#"{{"cmd":"pattern_block","id":{id},"pattern":"{}","scheme":"{}","width":{},"trials":{},"block":{},"domain_state":{}}}"#,
+            r#"{{"cmd":"pattern_block","id":{id},"pattern":"{}","scheme":"{}","width":{},"trials":{},"block":{},"blocks":{},"domain_state":{}}}"#,
             self.pattern.name(),
             self.scheme.name(),
             self.width,
             self.trials,
-            block,
+            blocks.start,
+            blocks.end - blocks.start,
             self.domain_state
         )
+    }
+
+    /// Relative compute per block: a Random trial counts every one of
+    /// its `w` warps, the rotation-invariant patterns one warp.
+    fn block_cost(&self) -> u64 {
+        let w = self.width as u64;
+        if self.pattern == MatrixPattern::Random {
+            w * w
+        } else {
+            w
+        }
     }
 
     fn block_stats_local(&self, block: u64) -> OnlineStats {
@@ -243,14 +268,41 @@ struct Lease {
     issued: Instant,
 }
 
-/// `(cell index, block index)` — the unit of dispatch.
+/// `(cell index, block index)` — the unit of leasing and merging.
 type Item = (usize, u64);
 
-/// Requests a runner keeps outstanding on its connection. Deep enough to
+/// Blocks a runner keeps outstanding on its connection. Deep enough to
 /// hide a loopback round trip and the worker's thread wakeup behind the
 /// blocks queued ahead of it; far below a server's default 64-slot queue,
 /// so a full window never sheds.
 const PIPELINE_DEPTH: usize = 8;
+
+/// Most blocks one request carries: half the window, so a runner always
+/// has a second request queued on the worker while one is answered.
+const MAX_RUN: usize = PIPELINE_DEPTH / 2;
+
+/// One request's claim: the consecutive blocks `blocks` of cell `cell`.
+struct Run {
+    cell: usize,
+    blocks: Range<u64>,
+}
+
+impl Run {
+    fn single((cell, block): Item) -> Self {
+        Run {
+            cell,
+            blocks: block..block + 1,
+        }
+    }
+
+    fn len(&self) -> usize {
+        (self.blocks.end - self.blocks.start) as usize
+    }
+
+    fn items(&self) -> impl Iterator<Item = Item> + '_ {
+        self.blocks.clone().map(|b| (self.cell, b))
+    }
+}
 
 #[derive(Default)]
 struct Counters {
@@ -317,7 +369,7 @@ struct Dispatch<'a> {
 }
 
 enum Next {
-    Item(Item),
+    Run(Run),
     Wait,
     Done,
 }
@@ -333,39 +385,56 @@ impl Dispatch<'_> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Commit one block result: the first writer is merged and recorded
-    /// to the ledger; duplicates (hedges, lease re-dispatch races) are
-    /// counted and dropped. This is the dedup point the whole fault model
-    /// leans on.
-    fn commit(&self, it: Item, stats: &OnlineStats, origin: Origin) {
-        let first = {
-            let mut s = self.lock();
-            s.leases.remove(&it);
-            let first = match s.done.entry(it) {
-                Entry::Occupied(_) => false,
-                Entry::Vacant(slot) => {
-                    slot.insert(stats.to_raw());
-                    true
-                }
-            };
-            let c = &mut s.counters;
-            match (first, origin) {
-                (false, _) => c.hedge_wasted += 1,
-                (true, Origin::Worker) => c.executed += 1,
-                (true, Origin::Local) => c.local_blocks += 1,
-            }
-            first
-        };
-        self.changed.notify_all();
-        // Entries are self-describing, so the append needs no lock.
-        if first
-            && self
-                .ledger
-                .record(&self.cells[it.0].key, it.1, stats)
-                .is_err()
+    /// Commit the results of `run`, one per block, under one lock: the
+    /// first writer of a block is merged and recorded to the ledger;
+    /// duplicates (hedges, lease re-dispatch races) are counted and
+    /// dropped. This is the dedup point the whole fault model leans on.
+    fn commit(&self, run: &Run, raw: &[RawOnlineStats], origin: Origin) {
+        let mut fresh = Vec::with_capacity(raw.len());
         {
-            self.lock().counters.append_failures += 1;
+            let mut s = self.lock();
+            for (it, raw) in run.items().zip(raw) {
+                s.leases.remove(&it);
+                let first = match s.done.entry(it) {
+                    Entry::Occupied(_) => false,
+                    Entry::Vacant(slot) => {
+                        slot.insert(*raw);
+                        true
+                    }
+                };
+                let c = &mut s.counters;
+                match (first, origin) {
+                    (false, _) => c.hedge_wasted += 1,
+                    (true, Origin::Worker) => c.executed += 1,
+                    (true, Origin::Local) => c.local_blocks += 1,
+                }
+                if first {
+                    fresh.push((it.1, raw));
+                }
+            }
         }
+        self.changed.notify_all();
+        // Entries are self-describing, so the appends need no lock.
+        let key = &self.cells[run.cell].key;
+        let mut failed = 0;
+        for (block, raw) in fresh {
+            if self
+                .ledger
+                .record(key, block, &OnlineStats::from_raw(raw))
+                .is_err()
+            {
+                failed += 1;
+            }
+        }
+        if failed > 0 {
+            self.lock().counters.append_failures += failed;
+        }
+    }
+
+    /// Execute `it` in-process and commit it.
+    fn commit_local(&self, it: Item) {
+        let stats = self.cells[it.0].block_stats_local(it.1);
+        self.commit(&Run::single(it), &[stats.to_raw()], Origin::Local);
     }
 
     /// Charge one failed attempt to `struck` and requeue it with its
@@ -501,19 +570,8 @@ impl Cluster {
         ledger: &Ledger,
     ) -> (Vec<OnlineStats>, ClusterReport) {
         let blocks_total: u64 = cells.iter().map(SweepCell::blocks).sum();
-        let mut done = HashMap::new();
-        let mut from_checkpoint = 0u64;
-        let mut pending = VecDeque::new();
-        for (ci, cell) in cells.iter().enumerate() {
-            for b in 0..cell.blocks() {
-                if let Some(stats) = ledger.completed(&cell.key, b) {
-                    done.insert((ci, b), stats.to_raw());
-                    from_checkpoint += 1;
-                } else {
-                    pending.push_back((ci, b));
-                }
-            }
-        }
+        let (pending, done) = initial_queue(cells, ledger);
+        let from_checkpoint = done.len() as u64;
         let total = done.len() + pending.len();
         let d = Dispatch {
             cells,
@@ -598,11 +656,12 @@ impl Cluster {
         d.changed.notify_all();
     }
 
-    /// Keep up to [`PIPELINE_DEPTH`] blocks in flight on a connection this
-    /// runner owns, commit answers as they arrive (matched by id, in any
-    /// order), fail the whole window on any error and reconnect. Returns
-    /// when the sweep completes — with the connection, if no response is
-    /// outstanding on it — or when the worker is declared dead.
+    /// Keep up to [`PIPELINE_DEPTH`] blocks in flight, in runs of up to
+    /// [`MAX_RUN`], on a connection this runner owns; commit answers as
+    /// they arrive (matched by id, in any order), fail the whole window on
+    /// any error and reconnect. Returns when the sweep completes — with
+    /// the connection, if no response is outstanding on it — or when the
+    /// worker is declared dead.
     fn pump(&self, w: usize, d: &Dispatch<'_>) -> Option<Client> {
         let mut conn = {
             let mut slot = self.pool.slot(w);
@@ -611,20 +670,24 @@ impl Cluster {
             }
             slot.sweep.take()
         };
-        let mut window: VecDeque<(u64, Item)> = VecDeque::with_capacity(PIPELINE_DEPTH);
+        let mut window: VecDeque<(u64, Run)> = VecDeque::with_capacity(PIPELINE_DEPTH);
         let mut next_id = 0u64;
         loop {
             let mut failed = None;
-            while failed.is_none() && window.len() < PIPELINE_DEPTH {
-                let it = match self.next_item(w, d, window.is_empty()) {
-                    Next::Item(it) => it,
+            loop {
+                let room = PIPELINE_DEPTH - window.iter().map(|(_, run)| run.len()).sum::<usize>();
+                if failed.is_some() || room == 0 {
+                    break;
+                }
+                let run = match self.next_run(w, d, room, window.is_empty()) {
+                    Next::Run(run) => run,
                     Next::Wait => break,
                     // Whatever is still in flight duplicates a committed
                     // block; its unread answers make the connection unusable.
                     Next::Done => return if window.is_empty() { conn } else { None },
                 };
-                window.push_back((next_id, it));
-                let line = d.cells[it.0].request_line(next_id, it.1);
+                let line = d.cells[run.cell].request_line(next_id, &run.blocks);
+                window.push_back((next_id, run));
                 next_id += 1;
                 if self.send(w, &mut conn, &line).is_err() {
                     failed = Some(0);
@@ -644,23 +707,39 @@ impl Cluster {
         }
     }
 
-    /// Claim the next unit of work for worker `w`: fresh work first, then
-    /// expired leases (presumed-dead holders), then — only while `idle`,
-    /// with nothing in flight — hedging the stalest in-flight block.
+    /// Claim the next request's blocks for worker `w`, at most `room`:
+    /// fresh work first, as a run of the head block and the consecutive
+    /// blocks of its cell queued behind it (a block with a strike goes
+    /// alone); then a single expired lease (presumed-dead holder); then —
+    /// only while `idle`, with nothing in flight — a hedge of the stalest
+    /// in-flight block.
     ///
     /// With nothing to claim, a busy runner gets [`Next::Wait`] and goes
     /// back to reading its window; an idle one sleeps until the table
     /// changes or the stalest foreign lease becomes hedgeable.
-    fn next_item(&self, w: usize, d: &Dispatch<'_>, idle: bool) -> Next {
+    fn next_run(&self, w: usize, d: &Dispatch<'_>, room: usize, idle: bool) -> Next {
         let mut s = d.lock();
         loop {
             if s.done.len() == s.total {
                 return Next::Done;
             }
             let now = Instant::now();
-            if let Some(it) = s.pending.pop_front() {
-                s.lease(it, w, now);
-                return Next::Item(it);
+            if let Some(head) = s.pending.pop_front() {
+                let mut run = Run::single(head);
+                if !s.failures.contains_key(&head) {
+                    while run.len() < room.min(MAX_RUN) {
+                        let next = (run.cell, run.blocks.end);
+                        if s.pending.front() != Some(&next) || s.failures.contains_key(&next) {
+                            break;
+                        }
+                        s.pending.pop_front();
+                        run.blocks.end += 1;
+                    }
+                }
+                for it in run.items() {
+                    s.lease(it, w, now);
+                }
+                return Next::Run(run);
             }
             let stalest = s.stalest_foreign(w);
             if let Some((it, issued)) = stalest {
@@ -668,12 +747,12 @@ impl Cluster {
                 if age >= self.cfg.lease {
                     s.counters.redispatched += 1;
                     s.lease(it, w, now);
-                    return Next::Item(it);
+                    return Next::Run(Run::single(it));
                 }
                 if idle && age >= self.cfg.hedge_after {
                     s.counters.hedged += 1;
                     s.lease(it, w, now);
-                    return Next::Item(it);
+                    return Next::Run(Run::single(it));
                 }
             }
             if !idle {
@@ -744,53 +823,58 @@ impl Cluster {
                 }
             };
             let Some(it) = it else { break };
-            let stats = d.cells[it.0].block_stats_local(it.1);
-            d.commit(it, &stats, Origin::Local);
+            d.commit_local(it);
             drained += 1;
         }
         drained
     }
 }
 
-/// Read one response and commit the in-flight item it answers. `Some`
+/// Read one response and commit the in-flight run it answers. `Some`
 /// names the window position to charge when the window has failed: the
-/// answered item for an error response, else the oldest (a dropped
-/// connection, a timeout or an answer matching no id names no item).
+/// answered request for an error response, else the oldest (a dropped
+/// connection, a timeout or an answer matching no id names no request).
 fn receive(
     d: &Dispatch<'_>,
     client: &mut Client,
-    window: &mut VecDeque<(u64, Item)>,
+    window: &mut VecDeque<(u64, Run)>,
 ) -> Option<usize> {
     let Ok(Some(resp)) = client.recv() else {
         return Some(0);
     };
     let Some(pos) = resp
         .id
-        .and_then(|id| window.iter().position(|&(sent, _)| sent == id))
+        .and_then(|id| window.iter().position(|(sent, _)| *sent == id))
     else {
         return Some(0);
     };
-    let Some(raw) = resp.ok.then(|| raw_from_response(&resp)).flatten() else {
+    let Some(raw) = resp
+        .ok
+        .then(|| raw_from_response(&resp, window[pos].1.len()))
+        .flatten()
+    else {
         return Some(pos);
     };
-    let (_, it) = window.remove(pos).expect("position is in the window");
-    d.commit(it, &OnlineStats::from_raw(&raw), Origin::Worker);
+    let (_, run) = window.remove(pos).expect("position is in the window");
+    d.commit(&run, &raw, Origin::Worker);
     None
 }
 
 /// The failure rule: one failed request fails the whole window, but only
-/// `culprit` takes a strike; the rest are requeued without one, so a
-/// poisoned block cannot strike out its innocent co-flight blocks.
-fn fail_window(w: usize, d: &Dispatch<'_>, window: &mut VecDeque<(u64, Item)>, culprit: usize) {
-    let (_, struck) = window
-        .remove(culprit)
-        .expect("a failed window is non-empty");
-    if d.fail(w, struck, window.drain(..).map(|(_, it)| it)) {
+/// the first block of the `culprit` request takes a strike; every other
+/// block is requeued without one, so a poisoned block cannot strike out
+/// its innocent co-flight blocks.
+fn fail_window(w: usize, d: &Dispatch<'_>, window: &mut VecDeque<(u64, Run)>, culprit: usize) {
+    let struck = (window[culprit].1.cell, window[culprit].1.blocks.start);
+    let innocent = window
+        .drain(..)
+        .flat_map(|(_, run)| run.blocks.map(move |b| (run.cell, b)))
+        .filter(|&it| it != struck);
+    if d.fail(w, struck, innocent) {
         // Three distinct failures look like a poisoned item, not a dead
         // worker: resolve it in-process (bit-identical) so the sweep
         // cannot livelock.
-        let stats = d.cells[struck.0].block_stats_local(struck.1);
-        d.commit(struck, &stats, Origin::Local);
+        d.commit_local(struck);
     }
 }
 
@@ -819,8 +903,69 @@ fn with_source(data: Value, source: &str) -> Value {
     Value::Object(pairs)
 }
 
-fn raw_from_response(resp: &Response) -> Option<RawOnlineStats> {
+/// The `blocks` accumulators of a batched `pattern_block` answer; `None`
+/// unless `raw_stats` is an array of exactly that many.
+fn raw_from_response(resp: &Response, blocks: usize) -> Option<Vec<RawOnlineStats>> {
     let pairs = resp.data.as_ref()?.as_object()?;
     let (_, raw) = pairs.iter().find(|(k, _)| k == "raw_stats")?;
-    RawOnlineStats::from_value(raw).ok()
+    let items = raw.as_array().filter(|items| items.len() == blocks)?;
+    items
+        .iter()
+        .map(|v| RawOnlineStats::from_value(v).ok())
+        .collect()
+}
+
+/// The dispatch queue of a sweep and the blocks `ledger` already holds.
+/// The queue runs heaviest cell first (by [`SweepCell::block_cost`]; the
+/// sort is stable, so equal-cost cells keep their order), each cell's
+/// blocks consecutive and ascending, so a claim can batch them.
+fn initial_queue(
+    cells: &[SweepCell],
+    ledger: &Ledger,
+) -> (VecDeque<Item>, HashMap<Item, RawOnlineStats>) {
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&ci| std::cmp::Reverse(cells[ci].block_cost()));
+    let mut done = HashMap::new();
+    let mut pending = VecDeque::new();
+    for ci in order {
+        let cell = &cells[ci];
+        for b in 0..cell.blocks() {
+            if let Some(stats) = ledger.completed(&cell.key, b) {
+                done.insert((ci, b), stats.to_raw());
+            } else {
+                pending.push_back((ci, b));
+            }
+        }
+    }
+    (pending, done)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_queue_runs_heaviest_cell_first_with_each_cells_blocks_consecutive() {
+        let root = SeedDomain::new(7);
+        let cell = |key: &str, pattern, width, trials| {
+            SweepCell::new(key, pattern, Scheme::Rap, width, trials, &root.child(key))
+        };
+        let cells = [
+            cell("stride16", MatrixPattern::Stride, 16, 64),
+            cell("random16", MatrixPattern::Random, 16, 40),
+            cell("stride64", MatrixPattern::Stride, 64, 96),
+            cell("random8", MatrixPattern::Random, 8, 32),
+            cell("diagonal64", MatrixPattern::Diagonal, 64, 70),
+        ];
+        let ledger = Ledger::in_memory();
+        let (pending, done) = initial_queue(&cells, &ledger);
+        assert!(done.is_empty());
+        // Costs: 16, 256, 64, 64, 64 — the two w = 64 rotation-invariant
+        // cells tie with Random w = 8 and keep their sweep order.
+        let expected: Vec<Item> = [(1, 2), (2, 3), (3, 1), (4, 3), (0, 2)]
+            .into_iter()
+            .flat_map(|(ci, blocks)| (0..blocks).map(move |b| (ci, b)))
+            .collect();
+        assert_eq!(pending.into_iter().collect::<Vec<_>>(), expected);
+    }
 }

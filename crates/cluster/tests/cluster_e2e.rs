@@ -501,6 +501,113 @@ fn read_window(
     }
 }
 
+/// An unsigned integer field of a request line the coordinator wrote.
+fn field(line: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\":");
+    let at = line
+        .find(&tag)
+        .unwrap_or_else(|| panic!("no '{key}' in {line}"))
+        + tag.len();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("an unsigned integer field")
+}
+
+/// A fake shard that relays every request line, one at a time, to the
+/// real shard at `backend` after `rewrite`: `Ok(line)` forwards `line`
+/// and relays the answer, `Err(answer)` writes `answer` instead.
+/// `health` lines are answered `ok` inline.
+fn relay_shard(
+    backend: std::net::SocketAddr,
+    rewrite: impl Fn(&str) -> Result<String, String> + Send + Sync + 'static,
+) -> std::net::SocketAddr {
+    use std::io::{BufRead, Write};
+    fake_shard(move |stream| {
+        let mut writer = stream.try_clone().expect("clone stream");
+        let mut upstream = rap_serve::Client::connect(backend).expect("connect backend");
+        for line in std::io::BufReader::new(stream)
+            .lines()
+            .map_while(Result::ok)
+        {
+            let answer = if line.contains(r#""health""#) {
+                health_line("ok")
+            } else {
+                match rewrite(&line) {
+                    Ok(forward) => {
+                        upstream.send(&forward).expect("forward request");
+                        upstream
+                            .recv_line()
+                            .expect("backend answer")
+                            .expect("backend open")
+                    }
+                    Err(answer) => answer,
+                }
+            };
+            if writeln!(writer, "{answer}").is_err() {
+                return;
+            }
+        }
+    })
+}
+
+#[test]
+fn a_batch_answered_with_the_wrong_number_of_stats_takes_one_strike() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let real = WorkerPool::in_process(1).expect("spawn worker");
+    // The first batched request reaches the real shard one block short,
+    // so its answer carries one accumulator too few.
+    let cut = AtomicBool::new(false);
+    let fake = relay_shard(real.addrs()[0], move |line| {
+        let k = field(line, "blocks");
+        if k > 1 && !cut.swap(true, Ordering::SeqCst) {
+            let short = format!(r#""blocks":{}"#, k - 1);
+            return Ok(line.replace(&format!(r#""blocks":{k}"#), &short));
+        }
+        Ok(line.to_string())
+    });
+    let cluster = Cluster::new(WorkerPool::connect(&[fake]), fast_cfg());
+    let (cells, truth) = forty_blocks("e2e-short-batch");
+    let (merged, report) = cluster.run_sweep(&cells, &Ledger::in_memory());
+    assert_bit_identical(&merged, &truth);
+    assert_eq!(report.strikes, 1, "{report:?}");
+    assert_eq!(report.reconnects, 1, "{report:?}");
+    assert_eq!(report.local_blocks, 0, "{report:?}");
+    assert_eq!(report.executed, report.blocks_total, "{report:?}");
+    real.shutdown();
+}
+
+#[test]
+fn a_poisoned_block_inside_a_batch_strikes_out_alone() {
+    let real = WorkerPool::in_process(1).expect("spawn worker");
+    // Every request whose run covers block 6 fails, on the only shard.
+    const POISONED: u64 = 6;
+    let fake = relay_shard(real.addrs()[0], |line| {
+        let first = field(line, "block");
+        if (first..first + field(line, "blocks")).contains(&POISONED) {
+            return Err(format!(
+                r#"{{"id":{},"ok":false,"degraded":false,"breaker":"closed","data":null,"error":{{"kind":"panic","code":500,"message":"poisoned"}}}}"#,
+                field(line, "id")
+            ));
+        }
+        Ok(line.to_string())
+    });
+    let cluster = Cluster::new(WorkerPool::connect(&[fake]), fast_cfg());
+    let (cells, truth) = forty_blocks("e2e-poisoned");
+    let (merged, report) = cluster.run_sweep(&cells, &Ledger::in_memory());
+    assert_bit_identical(&merged, &truth);
+    // Only the poisoned block ran in-process; its neighbours finished on
+    // the shard.
+    assert_eq!(report.local_blocks, 1, "{report:?}");
+    assert_eq!(report.executed, report.blocks_total - 1, "{report:?}");
+    // Its three strikes, plus at most one for each of the three blocks
+    // that can lead a run covering it.
+    assert!((3..=6).contains(&report.strikes), "{report:?}");
+    assert_eq!(report.workers_died, 0, "{report:?}");
+    real.shutdown();
+}
+
 #[test]
 fn a_window_dropped_by_its_shard_is_requeued_with_one_strike() {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -526,7 +633,8 @@ fn a_window_dropped_by_its_shard_is_requeued_with_one_strike() {
                 Duration::from_millis(200),
             ) {
                 Ok(window) if seen.load(Ordering::SeqCst) == 0 => {
-                    seen.store(window.len() as u64, Ordering::SeqCst);
+                    let blocks = window.iter().map(|line| field(line, "blocks")).sum();
+                    seen.store(blocks, Ordering::SeqCst);
                     return;
                 }
                 Ok(_) => {}
@@ -550,6 +658,8 @@ fn a_window_dropped_by_its_shard_is_requeued_with_one_strike() {
         window > 1,
         "the fake shard never saw a pipelined window: {report:?}"
     );
+    // A full window is `PIPELINE_DEPTH` blocks, batched into runs.
+    assert_eq!(window, 8, "{report:?}");
     // Every in-flight block went back to the queue; only one was
     // charged for the failure.
     assert_eq!(report.requeued, window, "{report:?}");

@@ -141,13 +141,16 @@ impl Ledger {
     /// `ledger.append`). A failed append loses only durability for that
     /// block, not the in-memory result; callers degrade gracefully.
     pub fn record(&self, cell: &str, block: u64, stats: &OnlineStats) -> io::Result<()> {
-        let line = serde_json::to_string(&LedgerEntry {
-            cell: cell.to_string(),
-            block,
-            stats: stats.to_raw(),
-        })
-        .map_err(|e| json_err(&e))?;
-        self.journal.append(&line)?;
+        // An in-memory journal drops every line: build none for it.
+        if self.journal.persists() {
+            let line = serde_json::to_string(&LedgerEntry {
+                cell: cell.to_string(),
+                block,
+                stats: stats.to_raw(),
+            })
+            .map_err(|e| json_err(&e))?;
+            self.journal.append(&line)?;
+        }
         self.recorded.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }

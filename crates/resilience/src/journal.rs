@@ -240,6 +240,13 @@ impl Journal {
         }
     }
 
+    /// True when appends reach a file; an in-memory journal accepts and
+    /// drops them.
+    #[must_use]
+    pub(crate) fn persists(&self) -> bool {
+        self.path.is_some()
+    }
+
     /// The validated record lines loaded from a previous run, in append
     /// order (header excluded).
     #[must_use]

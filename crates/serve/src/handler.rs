@@ -15,7 +15,7 @@
 
 use crate::protocol::{object, Command, PatternScheme};
 use rap_access::montecarlo::{
-    blocks_for, fixed_layout_congestion, matrix_block_stats, matrix_congestion_cancellable,
+    blocks_for, fixed_layout_congestion, matrix_block_run, matrix_congestion_cancellable,
 };
 use rap_access::{CancelToken, MatrixPattern, PartialStats};
 use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
@@ -115,17 +115,24 @@ pub fn execute(cmd: &Command, token: &CancelToken, adapt: Option<&AdaptiveContro
             width,
             trials,
             block,
+            blocks,
             seed,
             domain_state,
-        } => pattern_block(
-            *pattern,
-            *scheme,
-            *width,
-            *trials,
-            *block,
-            *seed,
-            *domain_state,
-        ),
+        } => {
+            // A raw domain state (from `SeedDomain::seed`) transports a
+            // *derived* domain losslessly; the mixing `seed` cannot.
+            let domain =
+                domain_state.map_or_else(|| SeedDomain::new(*seed), SeedDomain::from_state);
+            let run = *block..*block + blocks.unwrap_or(1);
+            match matrix_block_run(*scheme, *pattern, *width, *trials, run, &domain, token) {
+                Some(stats) => {
+                    pattern_block(*pattern, *scheme, *width, *trials, *block, *blocks, &stats)
+                }
+                None => Outcome::TimedOut(format!(
+                    "deadline expired within the run of blocks from block {block}"
+                )),
+            }
+        }
         Command::Analyze { width } => analyze(*width, token),
         Command::Transpose {
             kind,
@@ -376,27 +383,28 @@ fn adapt_force(adapt: Option<&AdaptiveController>, target: &str, steps: Option<u
     }
 }
 
-/// Evaluate exactly one 32-trial block of the decomposition `pattern`
-/// uses over `trials` total trials, returning the raw accumulator.
+/// The answer to a `pattern_block` request: the raw accumulators of
+/// block `block` (`blocks: None`) or of the run of `k` blocks from it,
+/// as an object or as an array of `k` objects in block order.
 ///
-/// No cancellation token: a block is 32 trials, the unit the deadline
-/// machinery itself is built from — it either completes quickly or the
-/// request deadline fails the whole job. `scheme` is a sampled scheme:
-/// the protocol refuses a block of a deterministic one.
+/// The run polls the request's token between blocks, never before the
+/// first, so a single block always completes: it is 32 trials, the unit
+/// the deadline machinery itself is built from. A run the token cuts
+/// short answers `timeout` and frees the worker; the blocks it finished
+/// are dropped, since the coordinator re-dispatches a failed request's
+/// blocks anyway. `scheme` is a sampled scheme: the protocol refuses a
+/// block of a deterministic one.
 fn pattern_block(
     pattern: MatrixPattern,
     scheme: Scheme,
     width: usize,
     trials: u64,
     block: u64,
-    seed: u64,
-    domain_state: Option<u64>,
+    blocks: Option<u64>,
+    stats: &[OnlineStats],
 ) -> Outcome {
-    // A raw domain state (from `SeedDomain::seed`) transports a *derived*
-    // domain losslessly; the mixing `seed` form cannot express one.
-    let domain = domain_state.map_or_else(|| SeedDomain::new(seed), SeedDomain::from_state);
-    let stats = matrix_block_stats(scheme, pattern, width, trials, block, &domain);
-    Outcome::Ok(object(vec![
+    let raw = |s: &OnlineStats| raw_stats_value(&s.to_raw());
+    let mut pairs = vec![
         (
             "pattern",
             Value::String(pattern.name().to_ascii_lowercase()),
@@ -405,10 +413,20 @@ fn pattern_block(
         ("width", Value::U64(width as u64)),
         ("trials", Value::U64(trials)),
         ("block", Value::U64(block)),
+    ];
+    let raw_stats = match blocks {
+        None => raw(&stats[0]),
+        Some(k) => {
+            pairs.push(("blocks", Value::U64(k)));
+            Value::Array(stats.iter().map(raw).collect())
+        }
+    };
+    pairs.extend([
         ("total_blocks", Value::U64(blocks_for(trials))),
-        ("raw_stats", raw_stats_value(&stats.to_raw())),
+        ("raw_stats", raw_stats),
         ("source", Value::String("monte-carlo-block".into())),
-    ]))
+    ]);
+    Outcome::Ok(object(pairs))
 }
 
 /// Certification grows about ×4.8 per width doubling (tens of seconds at
@@ -711,53 +729,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pattern_block_merge_matches_the_plain_engine_bit_for_bit() {
-        let _g = test_lock::handlers();
-        let trials = 77; // 3 blocks, ragged tail
-        let mut merged = OnlineStats::new();
-        for block in 0..rap_access::montecarlo::blocks_for(trials) {
-            let out = execute(
-                &Command::PatternBlock {
-                    pattern: MatrixPattern::Random,
-                    scheme: Scheme::Rap,
-                    width: 16,
-                    trials,
-                    block,
-                    seed: 2014,
-                    domain_state: None,
-                },
-                &never(),
-                None,
-            );
-            let Outcome::Ok(data) = out else {
-                panic!("{out:?}");
-            };
-            let raw = get(&data, "raw_stats");
+    fn block_request(trials: u64, block: u64, blocks: Option<u64>) -> Command {
+        Command::PatternBlock {
+            pattern: MatrixPattern::Random,
+            scheme: Scheme::Rap,
+            width: 16,
+            trials,
+            block,
+            blocks,
+            seed: 2014,
+            domain_state: None,
+        }
+    }
+
+    /// The raw accumulators of a `pattern_block` answer, single or batched.
+    fn raw_stats(out: &Outcome) -> Vec<rap_stats::RawOnlineStats> {
+        let Outcome::Ok(data) = out else {
+            panic!("{out:?}");
+        };
+        let one = |raw: &Value| {
             let bits = |key: &str| match get(raw, key) {
                 Value::U64(v) => *v,
                 other => panic!("{key}: {other:?}"),
             };
-            merged.merge(&OnlineStats::from_raw(&rap_stats::RawOnlineStats {
+            rap_stats::RawOnlineStats {
                 count: bits("count"),
                 mean_bits: bits("mean_bits"),
                 m2_bits: bits("m2_bits"),
                 min_bits: bits("min_bits"),
                 max_bits: bits("max_bits"),
-            }));
+            }
+        };
+        match get(data, "raw_stats") {
+            Value::Array(items) => items.iter().map(one).collect(),
+            raw => vec![one(raw)],
         }
-        let full = rap_access::montecarlo::matrix_congestion(
-            rap_core::Scheme::Rap,
-            MatrixPattern::Random,
-            16,
-            trials,
-            &SeedDomain::new(2014),
-        );
-        assert_eq!(
-            merged.to_raw(),
-            full.to_raw(),
-            "wire round trip is lossless"
-        );
+    }
+
+    /// Every single block, and every run of blocks, folds in block order
+    /// to the plain engine's estimate bit for bit, through the wire form.
+    #[test]
+    fn pattern_block_merge_matches_the_plain_engine_bit_for_bit() {
+        let _g = test_lock::handlers();
+        let fold = |raws: &[rap_stats::RawOnlineStats]| {
+            let mut merged = OnlineStats::new();
+            for raw in raws {
+                merged.merge(&OnlineStats::from_raw(raw));
+            }
+            merged.to_raw()
+        };
+        // 77 trials: 3 blocks with a ragged tail; 100: 4 blocks.
+        for trials in [77, 100] {
+            let full = rap_access::montecarlo::matrix_congestion(
+                Scheme::Rap,
+                MatrixPattern::Random,
+                16,
+                trials,
+                &SeedDomain::new(2014),
+            );
+            let total = rap_access::montecarlo::blocks_for(trials);
+            let single: Vec<_> = (0..total)
+                .flat_map(|b| raw_stats(&execute(&block_request(trials, b, None), &never(), None)))
+                .collect();
+            assert_eq!(fold(&single), full.to_raw(), "trials {trials}");
+            for first in 0..total {
+                for k in 1..=total - first {
+                    let out = execute(&block_request(trials, first, Some(k)), &never(), None);
+                    let Outcome::Ok(data) = &out else {
+                        panic!("{out:?}");
+                    };
+                    assert_eq!(get(data, "block"), &Value::U64(first));
+                    assert_eq!(get(data, "blocks"), &Value::U64(k));
+                    let range = first as usize..(first + k) as usize;
+                    assert_eq!(raw_stats(&out), single[range], "trials {trials}");
+                }
+            }
+            let run = raw_stats(&execute(
+                &block_request(trials, 0, Some(total)),
+                &never(),
+                None,
+            ));
+            assert_eq!(fold(&run), full.to_raw(), "trials {trials}");
+        }
+    }
+
+    #[test]
+    fn a_token_that_fires_mid_batch_answers_timeout() {
+        let _g = test_lock::handlers();
+        let fired = CancelToken::never();
+        fired.cancel();
+        let out = execute(&block_request(100, 0, Some(4)), &fired, None);
+        assert!(matches!(out, Outcome::TimedOut(_)), "{out:?}");
+        // The single-block shape never polls the token.
+        let out = execute(&block_request(100, 0, None), &fired, None);
+        assert_eq!(raw_stats(&out).len(), 1);
     }
 
     #[test]
@@ -777,6 +842,7 @@ mod tests {
                 width: 16,
                 trials: 32,
                 block: 0,
+                blocks: None,
                 seed: 0,
                 domain_state: Some(cell.seed()),
             },
@@ -786,7 +852,7 @@ mod tests {
         let Outcome::Ok(data) = out else {
             panic!("{out:?}");
         };
-        let local = matrix_block_stats(
+        let local = rap_access::montecarlo::matrix_block_stats(
             rap_core::Scheme::Rap,
             MatrixPattern::Random,
             16,

@@ -96,6 +96,13 @@ pub enum Command {
     /// accumulator as IEEE-754 bit patterns so a coordinator merging
     /// blocks in index order reproduces the single-process result bit
     /// for bit.
+    ///
+    /// With `blocks: k` it is a run of blocks `[block, block + k)` of the
+    /// same decomposition, answered with `raw_stats` as an array of `k`
+    /// accumulators in block order: one request and one answer carry a
+    /// coordinator's whole batch. `k` is bounded by the last block, so
+    /// the `trials` cap that bounds `pattern` bounds a run too. Without
+    /// the field the request and its answer are a single block's.
     PatternBlock {
         /// Table II pattern family.
         pattern: MatrixPattern,
@@ -105,8 +112,11 @@ pub enum Command {
         width: usize,
         /// Total trials of the decomposition the block indexes into.
         trials: u64,
-        /// Block index in `0..blocks_for(trials)`.
+        /// Block index in `0..blocks_for(trials)`: the run's first block.
         block: u64,
+        /// Run length `k`, `1..=blocks_for(trials) - block`; `None` for
+        /// the single-block request and answer shape.
+        blocks: Option<u64>,
         /// Seed domain root.
         seed: u64,
         /// Raw seed-domain state (overrides `seed` when present). This is
@@ -348,6 +358,14 @@ impl Request {
                         "field 'block' must be 0..{blocks} for {trials} trials, got {block}"
                     ));
                 }
+                let run = opt_u64(pairs, "blocks")?;
+                if let Some(k) = run.filter(|&k| k == 0 || k > blocks - block) {
+                    return Err(format!(
+                        "field 'blocks' must be 1..={} from block {block} of {trials} trials, \
+                         got {k}",
+                        blocks - block
+                    ));
+                }
                 let pattern = required_string(pairs, "pattern")?;
                 let scheme = required_string(pairs, "scheme")?;
                 let width = width_field(pairs, 32)?;
@@ -366,6 +384,7 @@ impl Request {
                     width,
                     trials,
                     block,
+                    blocks: run,
                     seed,
                     domain_state,
                 }
@@ -831,6 +850,7 @@ mod tests {
                 width: 16,
                 trials: 100,
                 block: 3,
+                blocks: None,
                 seed: 5,
                 domain_state: None,
             }
@@ -845,6 +865,34 @@ mod tests {
                 assert_eq!(domain_state, Some(12345));
             }
             other => panic!("wrong cmd: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pattern_block_runs_are_bounded_by_the_last_block() {
+        let run = |extra: &str| {
+            Request::parse(&format!(
+                r#"{{"cmd":"pattern_block","pattern":"random","scheme":"rap","trials":100,"block":1{extra}}}"#
+            ))
+            .map(|r| match r.cmd {
+                Command::PatternBlock { blocks, .. } => blocks,
+                other => panic!("wrong cmd: {other:?}"),
+            })
+        };
+        // 100 trials are 4 blocks, so a run from block 1 holds 1..=3.
+        assert_eq!(run(""), Ok(None));
+        assert_eq!(run(r#","blocks":null"#), Ok(None));
+        assert_eq!(run(r#","blocks":1"#), Ok(Some(1)));
+        assert_eq!(run(r#","blocks":3"#), Ok(Some(3)));
+        let bounds = "field 'blocks' must be 1..=3 from block 1 of 100 trials";
+        assert_eq!(run(r#","blocks":0"#), Err(format!("{bounds}, got 0")));
+        assert_eq!(run(r#","blocks":4"#), Err(format!("{bounds}, got 4")));
+        for bad in [r#","blocks":1.5"#, r#","blocks":"2""#, r#","blocks":-1"#] {
+            assert_eq!(
+                run(bad),
+                Err("field 'blocks' must be a non-negative integer".to_string()),
+                "{bad}"
+            );
         }
     }
 

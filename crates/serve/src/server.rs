@@ -547,6 +547,37 @@ mod tests {
     }
 
     #[test]
+    fn a_block_run_past_its_deadline_times_out_and_frees_its_worker() {
+        let _g = test_lock::handlers();
+        let (handle, mut client) = small_server(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        // Every block of the 1M-trial decomposition at w = 256: minutes of
+        // work, cut at the first block boundary past the deadline.
+        let started = Instant::now();
+        let resp = client
+            .roundtrip(
+                r#"{"cmd":"pattern_block","id":1,"pattern":"random","scheme":"rap","width":256,"trials":1000000,"block":0,"blocks":31250,"timeout_ms":50}"#,
+            )
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(resp.error_kind(), Some("timeout"), "{resp:?}");
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "answered after {elapsed:?}"
+        );
+        let resp = client
+            .roundtrip(
+                r#"{"cmd":"pattern_block","id":2,"pattern":"stride","scheme":"rap","width":16,"trials":64,"block":0,"blocks":2}"#,
+            )
+            .unwrap();
+        assert!(resp.ok, "{resp:?}");
+        let report = shutdown(handle);
+        assert!(report.metrics.conserves_responses(), "{report:?}");
+    }
+
+    #[test]
     fn panics_are_isolated_retried_and_surfaced() {
         let _l = test_lock::fail_plans();
         // Panic on every hit, retries exhausted → structured 500; the

@@ -11,7 +11,7 @@
 //!
 //! The corpus covers every command, every scheme, pattern and transpose
 //! kind (mixed case included), the line shape `rap-cluster` sends for a
-//! sweep block, adaptive requests against a frozen controller (static
+//! run of sweep blocks, adaptive requests against a frozen controller (static
 //! and synthesized candidates), and the request-only error paths.
 //!
 //! On a mismatch the actual transcript is written to the test binary's
@@ -175,6 +175,22 @@ fn serve_mix_lines() -> Vec<String> {
     lines
 }
 
+/// Block runs (`pattern_block` with `blocks`): the ragged tail, the line
+/// shape `rap-cluster` sends, a run of one, and the rejected run lengths.
+fn block_run_lines() -> Vec<String> {
+    [
+        r#"{"cmd":"pattern_block","pattern":"random","scheme":"rap","width":16,"trials":77,"block":1,"blocks":2,"seed":9}"#,
+        r#"{"cmd":"pattern_block","id":18,"pattern":"Random","scheme":"RAS","width":32,"trials":100,"block":0,"blocks":4,"domain_state":987654321}"#,
+        r#"{"cmd":"pattern_block","pattern":"stride","scheme":"raw","width":8,"trials":64,"block":1,"blocks":1}"#,
+        r#"{"cmd":"pattern_block","pattern":"stride","scheme":"rap","trials":64,"block":0,"blocks":0}"#,
+        r#"{"cmd":"pattern_block","pattern":"stride","scheme":"rap","trials":100,"block":2,"blocks":3}"#,
+        r#"{"cmd":"pattern_block","pattern":"stride","scheme":"rap","trials":64,"block":0,"blocks":1.5}"#,
+        r#"{"cmd":"pattern_block","pattern":"stride","scheme":"rap","trials":64,"block":0,"blocks":"2"}"#,
+    ]
+    .map(str::to_string)
+    .to_vec()
+}
+
 fn render(out: &mut String, line: &str, adapt: Option<&AdaptiveController>) {
     let response = match Request::parse(line) {
         Err(message) => Response::error(None, "closed", ErrorKind::BadRequest, message),
@@ -217,6 +233,9 @@ fn wire_responses_match_the_golden_corpus() {
         render(&mut actual, &line, Some(&ctl));
     }
     for line in serve_mix_lines() {
+        render(&mut actual, &line, None);
+    }
+    for line in block_run_lines() {
         render(&mut actual, &line, None);
     }
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire.txt");
