@@ -5,7 +5,8 @@
 //! `tests/golden/argv.txt`. The corpus covers every scheme, pattern and
 //! transpose kind at w = 4, 8, 12 and 16 (mixed-case names included),
 //! `congestion`, `analyze --plans --scheme all` and `--access`,
-//! `synthesize` in both modes, and the name/width error paths.
+//! `synthesize` in both modes, the name/width error paths, and
+//! `pattern --scheme padded` at serve-mix's request shape (w = 32).
 //!
 //! On a mismatch the actual corpus is written next to the test binary's
 //! scratch directory (the path is in the panic message); diff it against
@@ -259,6 +260,32 @@ fn adapt_cases(out: &mut String) {
     }
 }
 
+/// `pattern --scheme padded` at the serve-mix request shapes (w = 32,
+/// 64 trials) and one wider random run, recorded after the rest.
+fn padded_pattern_cases(out: &mut String) {
+    let runs = PATTERNS
+        .map(|pattern| (pattern, "32", "64", "21"))
+        .into_iter()
+        .chain([("random", "64", "9", "22")]);
+    for (pattern, w, trials, seed) in runs {
+        let argv = [
+            "pattern",
+            "--pattern",
+            pattern,
+            "--scheme",
+            "padded",
+            "--width",
+            w,
+            "--trials",
+            trials,
+            "--seed",
+            seed,
+        ]
+        .map(str::to_string);
+        record(out, &argv.join(" "), &rap_cli::run(&argv), None);
+    }
+}
+
 fn record(
     out: &mut String,
     shown: &str,
@@ -285,6 +312,7 @@ fn cli_output_matches_the_golden_corpus() {
         record(&mut actual, &argv.join(" "), &rap_cli::run(&argv), None);
     }
     adapt_cases(&mut actual);
+    padded_pattern_cases(&mut actual);
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/argv.txt");
     let expected = std::fs::read_to_string(golden_path).unwrap_or_default();
     if actual != expected {

@@ -11,7 +11,7 @@
 //!
 //! The corpus covers every command, every scheme, pattern and transpose
 //! kind (mixed case included), the line shape `rap-cluster` sends for a
-//! run of sweep blocks, adaptive requests against a frozen controller (static
+//! run of sweep blocks, `padded` patterns at serve-mix's shapes, adaptive requests against a frozen controller (static
 //! and synthesized candidates), and the request-only error paths.
 //!
 //! On a mismatch the actual transcript is written to the test binary's
@@ -191,6 +191,25 @@ fn block_run_lines() -> Vec<String> {
     .to_vec()
 }
 
+/// `pattern` under `padded` at the shapes serve-mix sends (w = 32, 64
+/// trials), the layout the adapt controller commits under that traffic,
+/// plus one wider random run.
+fn padded_pattern_lines() -> Vec<String> {
+    let mut lines: Vec<String> = PATTERNS
+        .iter()
+        .map(|pattern| {
+            format!(
+                r#"{{"cmd":"pattern","pattern":"{pattern}","scheme":"padded","width":32,"trials":64,"seed":21}}"#
+            )
+        })
+        .collect();
+    lines.push(
+        r#"{"cmd":"pattern","pattern":"random","scheme":"padded","width":64,"trials":9,"seed":22}"#
+            .to_string(),
+    );
+    lines
+}
+
 fn render(out: &mut String, line: &str, adapt: Option<&AdaptiveController>) {
     let response = match Request::parse(line) {
         Err(message) => Response::error(None, "closed", ErrorKind::BadRequest, message),
@@ -236,6 +255,9 @@ fn wire_responses_match_the_golden_corpus() {
         render(&mut actual, &line, None);
     }
     for line in block_run_lines() {
+        render(&mut actual, &line, None);
+    }
+    for line in padded_pattern_lines() {
         render(&mut actual, &line, None);
     }
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire.txt");
