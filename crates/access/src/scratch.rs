@@ -38,6 +38,6 @@ impl AccessScratch {
     /// callers take the unfused path) when `mapping.width()` is 0 or
     /// exceeds [`ComposedRowShift::MAX_WIDTH`].
     pub fn compose(&mut self, mapping: &RowShift) -> bool {
-        self.composed.compose(mapping)
+        self.composed.compose(mapping.shifts())
     }
 }

@@ -24,6 +24,7 @@
 use crate::error::CoreError;
 use crate::mapping::{MatrixMapping, Scheme};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The XOR swizzle layout: `(i, j) ↦ i·w + (j ⊕ (i mod w))`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,6 +117,11 @@ impl MatrixMapping for Padded {
     fn storage_words(&self) -> usize {
         // Last row needs no trailing pad.
         (self.width as usize) * (self.width as usize + 1) - 1
+    }
+
+    /// `(i·(w+1) + j) mod w = (i + j) mod w`: row `i` is rotated by `i`.
+    fn row_shifts(&self) -> Option<Cow<'_, [u32]>> {
+        Some(Cow::Owned((0..self.width).collect()))
     }
 }
 
@@ -252,6 +258,22 @@ mod tests {
                 .collect();
             assert_eq!(congestion(w, &col), 1);
         }
+    }
+
+    /// Padding is the rotation `s_i = i`: its shifts reproduce every
+    /// bank, and XOR, which permutes within a row, reports none.
+    #[test]
+    fn padded_is_the_rotation_by_the_row_index_and_xor_is_none() {
+        for w in [1usize, 2, 5, 32, 257] {
+            let m = Padded::new(w).unwrap();
+            let shifts = m.row_shifts().expect("padding is a rotation");
+            for i in 0..w as u32 {
+                for j in 0..w as u32 {
+                    assert_eq!(m.bank(i, j), (j + shifts[i as usize]) % w as u32);
+                }
+            }
+        }
+        assert!(XorSwizzle::new(32).unwrap().row_shifts().is_none());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rap_access::{CancelToken, MatrixPattern, PartialStats};
 use rap_adapt::{AdaptiveController, CandidateKind, TrafficClass};
 use rap_analyze::{certify_theorem1, certify_theorem2, fallback_bounds, AnalyzeError};
 use rap_core::modern::build_mapping;
-use rap_core::{diagnostics::render_layout, BankLoads, RowShift, Scheme};
+use rap_core::{diagnostics::render_layout, BankLoads, Scheme};
 use rap_resilience::failpoint;
 use rap_stats::{OnlineStats, SeedDomain};
 use rap_synthesize::Mode;
@@ -317,13 +317,10 @@ fn pattern_table(
     seed: u64,
     token: &CancelToken,
 ) -> Outcome {
-    // The table was validated when the candidate was built; a rejection
-    // here is an internal invariant violation, not a client error.
-    let mapping = match RowShift::ras_from(width, layout.to_vec()) {
-        Ok(m) => m,
-        Err(e) => return Outcome::Failed(format!("active synthesized table rejected: {e}")),
-    };
-    let partial = fixed_layout_congestion(&mapping, pattern, trials, &SeedDomain::new(seed), token);
+    // The table was validated when the candidate was built: it is served
+    // as the rotation it lists, neither copied nor checked again.
+    debug_assert_eq!(layout.len(), width, "active table of another width");
+    let partial = fixed_layout_congestion(&layout, pattern, trials, &SeedDomain::new(seed), token);
     pattern_outcome(pattern, name, width, trials, &partial)
 }
 
@@ -340,14 +337,14 @@ fn traffic_class(pattern: MatrixPattern) -> TrafficClass {
 
 /// Pull `data.stats.mean` back out of a finished pattern payload.
 fn observed_mean(data: &Value) -> Option<f64> {
-    let field = |v: &Value, key: &str| -> Option<Value> {
+    fn field<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
         v.as_object()?
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    };
-    match field(&field(data, "stats")?, "mean")? {
-        Value::F64(mean) if mean.is_finite() => Some(mean),
+            .map(|(_, v)| v)
+    }
+    match field(field(data, "stats")?, "mean")? {
+        Value::F64(mean) if mean.is_finite() => Some(*mean),
         _ => None,
     }
 }
