@@ -205,13 +205,6 @@ pub fn warp_congestion(mapping: &dyn MatrixMapping, warp: &[Coord]) -> u32 {
     rap_core::congestion::congestion(mapping.width(), &warp_addresses(mapping, warp))
 }
 
-/// Fill `out` with the physical addresses of one warp — the
-/// scratch-reusing counterpart of [`warp_addresses`].
-pub fn warp_addresses_into(mapping: &dyn MatrixMapping, warp: &[Coord], out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(warp.iter().map(|&(i, j)| u64::from(mapping.address(i, j))));
-}
-
 /// Congestion of one warp's access, reusing `scratch`'s buffers — the
 /// allocation-free counterpart of [`warp_congestion`].
 #[must_use]
@@ -220,11 +213,13 @@ pub fn warp_congestion_with(
     warp: &[Coord],
     scratch: &mut AccessScratch,
 ) -> u32 {
-    let mut addrs = std::mem::take(&mut scratch.addrs);
-    warp_addresses_into(mapping, warp, &mut addrs);
-    let result = scratch.congestion.congestion(mapping.width(), &addrs);
-    scratch.addrs = addrs;
-    result
+    scratch.addrs.clear();
+    scratch
+        .addrs
+        .extend(warp.iter().map(|&(i, j)| u64::from(mapping.address(i, j))));
+    scratch
+        .congestion
+        .congestion(mapping.width(), &scratch.addrs)
 }
 
 /// The congestion kernels of the fused path: [`CompactCongestion`] for
